@@ -1,6 +1,6 @@
 //! Ablation: dense-array vs hash-map group lookup (DESIGN.md §5) — the
 //! mechanism behind the Figure 7.5 crossover at 100% selectivity — plus
-//! the serial-vs-sharded comparison and thread-scaling sweep for the
+//! the serial-vs-morsel comparison and thread-scaling sweep for the
 //! parallel aggregation engine at 1M rows.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
@@ -10,7 +10,7 @@ use std::sync::Arc;
 use zv_datagen::sales::{self, product_name, SalesConfig};
 use zv_datagen::skew;
 use zv_storage::exec::{
-    aggregate, aggregate_morsel, aggregate_parallel, compile_pred, GroupStrategy, RowSource,
+    aggregate, aggregate_morsel, compile_pred, GroupStrategy, RowSource, MORSEL_ROWS,
 };
 use zv_storage::{BitmapDb, BitmapDbConfig, Database, Predicate, SelectQuery, XSpec, YSpec};
 
@@ -76,10 +76,10 @@ fn bench_selection_paths(c: &mut Criterion) {
     group.finish();
 }
 
-/// Serial vs sharded aggregation on a 1M-row sales table, both group
-/// strategies. Thread count 0 = all hardware threads; on a single-core
-/// host the two bars should be within noise of each other (the sharded
-/// path degrades to the serial scan).
+/// Serial vs morsel-parallel aggregation on a 1M-row sales table, both
+/// group strategies. Thread count 0 = all hardware threads; on a
+/// single-core host the two bars should be within noise of each other
+/// (the morsel path degrades to the serial scan).
 fn bench_serial_vs_parallel(c: &mut Criterion) {
     let table = sales::generate(&SalesConfig {
         rows: 1_000_000,
@@ -106,7 +106,7 @@ fn bench_serial_vs_parallel(c: &mut Criterion) {
         group.bench_function(format!("parallel_{name}"), |bencher| {
             bencher.iter(|| {
                 let src = RowSource::All(table.num_rows());
-                black_box(aggregate_parallel(&table, &q, &src, strategy, 0).unwrap())
+                black_box(aggregate_morsel(&table, &q, &src, strategy, 0, MORSEL_ROWS).unwrap())
                     .0
                     .groups
                     .len()
@@ -116,7 +116,7 @@ fn bench_serial_vs_parallel(c: &mut Criterion) {
     group.finish();
 }
 
-/// Thread-scaling sweep for the sharded scan at 1M rows.
+/// Thread-scaling sweep for the morsel scan at 1M rows.
 fn bench_thread_scaling(c: &mut Criterion) {
     let table = sales::generate(&SalesConfig {
         rows: 1_000_000,
@@ -135,7 +135,8 @@ fn bench_thread_scaling(c: &mut Criterion) {
                 bencher.iter(|| {
                     let src = RowSource::All(table.num_rows());
                     black_box(
-                        aggregate_parallel(&table, &q, &src, GroupStrategy::Dense, t).unwrap(),
+                        aggregate_morsel(&table, &q, &src, GroupStrategy::Dense, t, MORSEL_ROWS)
+                            .unwrap(),
                     )
                     .0
                     .groups
@@ -147,11 +148,9 @@ fn bench_thread_scaling(c: &mut Criterion) {
     group.finish();
 }
 
-/// Static vs morsel scheduling under a skewed selective predicate at 1M
-/// rows: every matching row sits in the first eighth of the table, so a
-/// static split strands the accumulation work on one worker while morsel
-/// claiming spreads it. On a single-core host the two collapse to the
-/// same serial scan; the gap appears with real hardware threads.
+/// Morsel scheduling under a skewed selective predicate at 1M rows:
+/// every matching row sits in the first eighth of the table, and morsel
+/// claiming spreads the accumulation work over the workers.
 fn bench_skewed_scheduling(c: &mut Criterion) {
     let table = skew::generate(1_000_000);
     let q = SelectQuery::new(XSpec::raw("key"), vec![YSpec::sum("val")]);
@@ -165,27 +164,20 @@ fn bench_skewed_scheduling(c: &mut Criterion) {
     group.sample_size(10);
     for threads in [2usize, 4, 8] {
         group.bench_with_input(
-            BenchmarkId::new("static", threads),
-            &threads,
-            |bencher, &t| {
-                bencher.iter(|| {
-                    black_box(
-                        aggregate_parallel(&table, &q, &make_src(), GroupStrategy::Dense, t)
-                            .unwrap(),
-                    )
-                    .0
-                    .groups
-                    .len()
-                })
-            },
-        );
-        group.bench_with_input(
             BenchmarkId::new("morsel", threads),
             &threads,
             |bencher, &t| {
                 bencher.iter(|| {
                     black_box(
-                        aggregate_morsel(&table, &q, &make_src(), GroupStrategy::Dense, t).unwrap(),
+                        aggregate_morsel(
+                            &table,
+                            &q,
+                            &make_src(),
+                            GroupStrategy::Dense,
+                            t,
+                            MORSEL_ROWS,
+                        )
+                        .unwrap(),
                     )
                     .0
                     .groups

@@ -93,8 +93,9 @@ fn bench_tasks(c: &mut Criterion) {
 }
 
 /// End-to-end ZQL with the storage pool disabled vs enabled: the same
-/// Table 5.1 query and similarity task, routed serially vs sharded
-/// (1M-row sales table, InterTask batching in both cases).
+/// Table 5.1 query and similarity task, routed serially vs through the
+/// morsel-parallel scan (1M-row sales table, InterTask batching in both
+/// cases).
 fn bench_parallel_routing(c: &mut Criterion) {
     use zql::{similarity_search, TaskSpec};
     use zv_analytics::Series;
@@ -116,7 +117,7 @@ fn bench_parallel_routing(c: &mut Criterion) {
             ..BitmapDbConfig::uncached()
         },
     ));
-    let sharded: DynDatabase = Arc::new(BitmapDb::with_config(
+    let parallel: DynDatabase = Arc::new(BitmapDb::with_config(
         table,
         BitmapDbConfig {
             parallel: ParallelConfig {
@@ -135,7 +136,7 @@ fn bench_parallel_routing(c: &mut Criterion) {
 
     let mut group = c.benchmark_group("zql_parallel_1m");
     group.sample_size(10);
-    for (name, db) in [("serial", &serial), ("sharded", &sharded)] {
+    for (name, db) in [("serial", &serial), ("parallel", &parallel)] {
         let mut engine = ZqlEngine::new(db.clone());
         engine
             .registry_mut()

@@ -31,10 +31,10 @@
 //!
 //! * `cache_warm_ms`, `derived_hit_ms` — warm/derived hits never touch
 //!   base rows, so they are row-count independent and compared directly.
-//! * `cache_cold_ms`, `derived_cold_ms`, `morsel_skew_ms`,
-//!   `morsel_skew_static_ms` — scans scale ~linearly with the table, so
-//!   they are normalized to ms-per-million-rows before comparison (CI
-//!   runs `--quick` at 200k rows against a 1M-row committed baseline).
+//! * `cache_cold_ms`, `derived_cold_ms`, `morsel_skew_ms` — scans
+//!   scale ~linearly with the table, so they are normalized to
+//!   ms-per-million-rows before comparison (CI runs `--quick` at 200k
+//!   rows against a 1M-row committed baseline).
 //! * `cancel_latency_ms` — wall-clock from `QueryCtx::cancel()` to the
 //!   scan returning `Cancelled`; bounded by one claim's worth of work,
 //!   not by table size, so compared directly under a generous absolute
@@ -257,13 +257,12 @@ fn groupby_gates(
     // there timer jitter and cross-machine CPU differences dwarf any
     // real ratio: pointer-bump warm hits live under 0.1 ms, and cancel
     // latency is scheduler-wakeup-dominated under ~5 ms).
-    const GATES: [(&str, bool, f64); 7] = [
+    const GATES: [(&str, bool, f64); 6] = [
         ("cache_warm_ms", false, 0.1),
         ("derived_hit_ms", false, 0.1),
         ("cache_cold_ms", true, 0.1),
         ("derived_cold_ms", true, 0.1),
         ("morsel_skew_ms", true, 0.1),
-        ("morsel_skew_static_ms", true, 0.1),
         ("cancel_latency_ms", false, 5.0),
     ];
 

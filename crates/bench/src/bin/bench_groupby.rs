@@ -1,8 +1,8 @@
 //! Perf-trajectory tracker for the aggregation hot path: measures serial
-//! vs sharded grouped aggregation on a generated sales table — plus the
-//! engine-level result cache (cold vs warm request latency and hit rate,
-//! and subsumption-derived per-Z-slice hits vs cold slice execution) —
-//! and dumps a machine-readable summary.
+//! vs morsel-parallel grouped aggregation on a generated sales table —
+//! plus the engine-level result cache (cold vs warm request latency and
+//! hit rate, and subsumption-derived per-Z-slice hits vs cold slice
+//! execution) — and dumps a machine-readable summary.
 //!
 //! ```text
 //! bench_groupby [--rows N] [--threads 1,2,4,8] [--reps K] [--json PATH]
@@ -12,14 +12,14 @@
 //! Writes `BENCH_groupby.json` (override with `--json`) so successive
 //! PRs can diff the numbers. Speedups are relative to the serial chunked
 //! scan on the same machine; on a single-core host expect ≈1.0 for the
-//! sharded rows, while the cache speedup is scan-avoidance and shows up
+//! parallel rows, while the cache speedup is scan-avoidance and shows up
 //! regardless of core count.
 
 use std::time::Instant;
 use zv_datagen::sales::{self, product_name, SalesConfig};
 use zv_datagen::skew;
 use zv_storage::exec::{
-    aggregate, aggregate_morsel, aggregate_parallel, compile_pred, GroupStrategy, RowSource,
+    aggregate, aggregate_morsel, compile_pred, GroupStrategy, RowSource, MORSEL_ROWS,
 };
 use zv_storage::{BitmapDb, BitmapDbConfig, Database, Predicate, SelectQuery, XSpec, YSpec};
 
@@ -152,7 +152,7 @@ fn main() {
         for &t in &args.threads {
             let (par_ms, pgroups) = best_ms(args.reps, || {
                 let src = RowSource::All(table.num_rows());
-                aggregate_parallel(&table, &q, &src, strategy, t)
+                aggregate_morsel(&table, &q, &src, strategy, t, MORSEL_ROWS)
                     .unwrap()
                     .0
                     .groups
@@ -171,13 +171,13 @@ fn main() {
         }
     }
 
-    // Morsel vs static scheduling under a *skewed* selective predicate:
-    // every matching row sits in the first eighth of the table, so a
-    // static contiguous split strands all the accumulation work on its
+    // Morsel scheduling under a *skewed* selective predicate: every
+    // matching row sits in the first eighth of the table, so a contiguous
+    // per-worker split would strand all the accumulation work on its
     // first worker while the others only evaluate the (cheap) filter;
     // morsel claiming lets free workers absorb the hot region. On a
-    // single-core host both collapse to the same serial scan (expect
-    // ≈1.0×); the gap appears with real hardware threads.
+    // single-core host the morsel scan collapses to the serial scan
+    // (expect ≈1.0×); the gap appears with real hardware threads.
     {
         let skew_table = skew::generate(args.rows);
         let skew_q = SelectQuery::new(
@@ -194,7 +194,7 @@ fn main() {
             pred: compile_pred(&skew_table, &pred).unwrap(),
         };
         // Bit-for-bit reference (the measures are exactly representable,
-        // so every scheduler must reproduce the serial result exactly).
+        // so the morsel scan must reproduce the serial result exactly).
         let reference = aggregate(&skew_table, &skew_q, &make_src(), GroupStrategy::Dense)
             .unwrap()
             .0;
@@ -210,63 +210,43 @@ fn main() {
             "    {{\"strategy\": \"skew_serial\", \"mode\": \"serial\", \"threads\": 1, \
              \"best_ms\": {serial_ms:.3}}}"
         ));
-        let mut static_best = f64::INFINITY;
         let mut morsel_best = f64::INFINITY;
         for &t in &args.threads {
-            // Interleave the A/B reps so slow machine drift (page cache,
-            // background load) cancels instead of biasing one scheduler.
-            let mut static_ms = f64::INFINITY;
-            let mut morsel_ms = f64::INFINITY;
-            for _ in 0..args.reps.max(3) {
-                let start = Instant::now();
-                let stat =
-                    aggregate_parallel(&skew_table, &skew_q, &make_src(), GroupStrategy::Dense, t)
-                        .unwrap()
-                        .0;
-                static_ms = static_ms.min(start.elapsed().as_secs_f64() * 1e3);
-                let start = Instant::now();
-                let mor =
-                    aggregate_morsel(&skew_table, &skew_q, &make_src(), GroupStrategy::Dense, t)
-                        .unwrap()
-                        .0;
-                morsel_ms = morsel_ms.min(start.elapsed().as_secs_f64() * 1e3);
-                // Full-result comparison (outside the timed windows):
-                // group counts alone would be vacuously 1 here (no Z).
-                assert_eq!(stat, reference, "static skew result diverged");
+            let (morsel_ms, _) = best_ms(args.reps.max(3), || {
+                let mor = aggregate_morsel(
+                    &skew_table,
+                    &skew_q,
+                    &make_src(),
+                    GroupStrategy::Dense,
+                    t,
+                    MORSEL_ROWS,
+                )
+                .unwrap()
+                .0;
+                // Full-result comparison: group counts alone would be
+                // vacuously 1 here (no Z).
                 assert_eq!(mor, reference, "morsel skew result diverged");
-            }
-            // Only real fan-outs feed the summary comparison: at one
-            // thread both schedulers fall back to the identical serial
-            // scan, so any difference there is pure timing noise.
+                mor.groups.len()
+            });
+            // Only real fan-outs feed the summary: at one thread the
+            // morsel scan is the serial scan.
             if t >= 2 {
-                static_best = static_best.min(static_ms);
                 morsel_best = morsel_best.min(morsel_ms);
             }
-            let ratio = static_ms / morsel_ms;
-            println!(
-                "  skew static×{t:<2}   {static_ms:9.2} ms | morsel×{t:<2} {morsel_ms:9.2} ms   \
-                 morsel speedup {ratio:5.2}×"
-            );
-            entries.push(format!(
-                "    {{\"strategy\": \"skew_static\", \"mode\": \"parallel\", \"threads\": {t}, \
-                 \"best_ms\": {static_ms:.3}}}"
-            ));
+            let speedup = serial_ms / morsel_ms;
+            println!("  skew morsel×{t:<2}   {morsel_ms:9.2} ms   speedup {speedup:5.2}×");
             entries.push(format!(
                 "    {{\"strategy\": \"skew_morsel\", \"mode\": \"parallel\", \"threads\": {t}, \
-                 \"best_ms\": {morsel_ms:.3}, \"speedup\": {ratio:.3}}}"
+                 \"best_ms\": {morsel_ms:.3}, \"speedup\": {speedup:.3}}}"
             ));
         }
-        if !static_best.is_finite() || !morsel_best.is_finite() {
+        if !morsel_best.is_finite() {
             // No multi-thread entries in the sweep: report the serial
-            // latency for both rather than NaN.
-            static_best = serial_ms;
+            // latency rather than NaN.
             morsel_best = serial_ms;
         }
-        let morsel_speedup = static_best / morsel_best.max(1e-6);
         summary.push(format!("\"morsel_skew_serial_ms\": {serial_ms:.3}"));
-        summary.push(format!("\"morsel_skew_static_ms\": {static_best:.3}"));
         summary.push(format!("\"morsel_skew_ms\": {morsel_best:.3}"));
-        summary.push(format!("\"morsel_speedup_vs_static\": {morsel_speedup:.3}"));
     }
 
     // Engine-level result cache: one cold request (scan + insert), then

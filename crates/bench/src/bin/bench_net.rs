@@ -33,7 +33,7 @@ use zql::ZqlEngine;
 use zv_datagen::sales::{self, SalesConfig};
 use zv_server::{NetClient, NetServer, NetServerConfig, Response, SessionConfig, SubmitOptions};
 use zv_storage::exec::ParallelConfig;
-use zv_storage::{BitmapDb, BitmapDbConfig, CacheConfig, SchedulingMode};
+use zv_storage::{BitmapDb, BitmapDbConfig, CacheConfig};
 
 struct Args {
     clients: usize,
@@ -151,7 +151,6 @@ fn main() -> ExitCode {
             BitmapDbConfig {
                 parallel: ParallelConfig {
                     threads: args.threads,
-                    sched: SchedulingMode::Morsel,
                     ..Default::default()
                 },
                 cache: CacheConfig::admit_all(),

@@ -1,6 +1,6 @@
 //! A synthetic table with *positionally clustered* predicate matches —
-//! the workload shape that starves a statically sharded scan and that
-//! morsel-driven claiming exists to fix. Shared by the `bench_groupby`
+//! the workload shape that would starve a contiguous per-worker split
+//! and that morsel-driven claiming balances. Shared by the `bench_groupby`
 //! perf tracker and the criterion `groupby` bench so the regression
 //! baseline and the criterion numbers measure the identical workload.
 

@@ -34,7 +34,7 @@ use zql::ZqlEngine;
 use zv_datagen::sales::{self, SalesConfig};
 use zv_server::{NetServer, NetServerConfig, SessionConfig};
 use zv_storage::exec::ParallelConfig;
-use zv_storage::{BitmapDb, BitmapDbConfig, Database, FaultSpec, SchedulingMode};
+use zv_storage::{BitmapDb, BitmapDbConfig, Database, FaultSpec};
 
 struct Args {
     addr: String,
@@ -114,7 +114,6 @@ fn main() -> ExitCode {
     let db_config = BitmapDbConfig {
         parallel: ParallelConfig {
             threads: args.threads,
-            sched: SchedulingMode::Morsel,
             ..Default::default()
         },
         ..Default::default()

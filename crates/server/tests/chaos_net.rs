@@ -15,9 +15,7 @@ use zql::ZqlEngine;
 use zv_datagen::sales::{self, SalesConfig};
 use zv_server::{NetClient, NetServer, NetServerConfig, Response, SessionConfig, SubmitOptions};
 use zv_storage::exec::ParallelConfig;
-use zv_storage::{
-    BitmapDb, BitmapDbConfig, CacheConfig, FaultPoint, FaultSpec, SchedulingMode, Value,
-};
+use zv_storage::{BitmapDb, BitmapDbConfig, CacheConfig, FaultPoint, FaultSpec, Value};
 
 const ROWS: usize = 30_000;
 
@@ -58,7 +56,6 @@ fn clean_engine() -> Arc<ZqlEngine> {
             parallel: ParallelConfig {
                 threads: 2,
                 min_parallel_rows: 0,
-                sched: SchedulingMode::Morsel,
                 morsel_rows: 4096,
                 ..Default::default()
             },

@@ -22,9 +22,7 @@ use zv_datagen::sales::{self, SalesConfig};
 use zv_server::{RetryPolicy, SessionConfig, SessionManager, SubmitOptions};
 use zv_storage::exec::ParallelConfig;
 use zv_storage::fault::{self, FaultPoint, FaultSpec};
-use zv_storage::{
-    BitmapDb, BitmapDbConfig, CacheConfig, CancelReason, SchedulingMode, StorageError,
-};
+use zv_storage::{BitmapDb, BitmapDbConfig, CacheConfig, CancelReason, StorageError};
 
 const ROWS: usize = 30_000;
 const MORSEL_ROWS: usize = 4096;
@@ -54,10 +52,8 @@ fn chaos_engine(spec: FaultSpec, threads: usize) -> Arc<ZqlEngine> {
             parallel: ParallelConfig {
                 threads,
                 min_parallel_rows: 0,
-                sched: SchedulingMode::Morsel,
                 morsel_rows: MORSEL_ROWS,
                 fault: spec,
-                ..Default::default()
             },
             cache: CacheConfig::admit_all(),
             ..Default::default()

@@ -11,8 +11,7 @@ use zv_datagen::sales::{self, SalesConfig};
 use zv_server::{NetClient, NetServer, NetServerConfig, Response, SessionConfig, SubmitOptions};
 use zv_storage::exec::ParallelConfig;
 use zv_storage::{
-    BitmapDb, BitmapDbConfig, CacheConfig, CancelReason, ScanDb, ScanDbConfig, SchedulingMode,
-    Value,
+    BitmapDb, BitmapDbConfig, CacheConfig, CancelReason, ScanDb, ScanDbConfig, Value,
 };
 
 const ROWS: usize = 30_000;
@@ -37,7 +36,6 @@ fn engine() -> Arc<ZqlEngine> {
             parallel: ParallelConfig {
                 threads: 2,
                 min_parallel_rows: 0,
-                sched: SchedulingMode::Morsel,
                 morsel_rows: 4096,
                 ..Default::default()
             },

@@ -50,8 +50,8 @@ pub struct BitmapDbConfig {
     pub request_overhead: Duration,
     /// Run-optimize indexes after build (RLE compression).
     pub run_optimize: bool,
-    /// Parallel-scan tuning (thread count, serial threshold, scheduling
-    /// mode). The default consults the `ZV_SCHED_*` environment
+    /// Parallel-scan tuning (thread count, serial threshold, morsel
+    /// size). The default consults the `ZV_SCHED_*` environment
     /// overrides ([`exec::ParallelConfig::from_env`]) so CI can force a
     /// scheduling configuration across whole test suites.
     pub parallel: exec::ParallelConfig,

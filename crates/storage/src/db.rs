@@ -274,9 +274,8 @@ pub trait Database: Send + Sync {
     /// subsumption (both answered without touching a base row), then fan
     /// the true misses across the shared pool — multi-query batches use
     /// one worker per query, while a single missing query parallelizes
-    /// *inside* the scan (morsel-claimed by default, statically sharded
-    /// via [`crate::exec::SchedulingMode::Static`]; see
-    /// `exec::run_scheduled`), so the hardware is saturated either way.
+    /// *inside* the scan (morsel-claimed; see `exec::run_scheduled`), so
+    /// the hardware is saturated either way.
     /// Fresh results are offered to
     /// the cache under the pinned snapshot's version at their scan cost
     /// (cost-based admission may decline them): the version only ever

@@ -27,18 +27,17 @@
 //!       │                 Hash   → entry-API slot lookup (one probe),
 //!       │                          per-chunk capacity reservation
 //!       │
-//!       ├─ morsels:       `aggregate_morsel` (the default, see
-//!       │                 [`SchedulingMode`]) carves the source into
-//!       │                 fixed-size, chunk-aligned morsels of
-//!       │                 [`MORSEL_ROWS`] rows (row ranges, or slices of
-//!       │                 the materialized bitmap); workers *claim*
-//!       │                 morsels off a shared atomic cursor, so a worker
-//!       │                 that drew a cheap region simply claims more —
-//!       │                 skewed predicates cannot strand the scan behind
-//!       │                 one overloaded worker. Each claimed morsel is
-//!       │                 accumulated into a reusable per-worker
-//!       │                 accumulator and compacted into a partial
-//!       │                 *tagged by its morsel index*.
+//!       ├─ morsels:       a parallel scan ([`aggregate_morsel`]) carves
+//!       │                 the source into fixed-size, chunk-aligned
+//!       │                 morsels of [`MORSEL_ROWS`] rows (row ranges, or
+//!       │                 slices of the materialized bitmap); workers
+//!       │                 *claim* morsels one at a time off a shared
+//!       │                 atomic cursor, so a worker that drew a cheap
+//!       │                 region simply claims more — skewed predicates
+//!       │                 cannot strand the scan behind one overloaded
+//!       │                 worker. Each claimed morsel is accumulated into
+//!       │                 a reusable per-worker accumulator and compacted
+//!       │                 into a partial *tagged by its morsel index*.
 //!       │
 //!       └─ ordered merge: partials are sorted by morsel index and merged
 //!                         in that order — Dense by slot, Hash by
@@ -55,12 +54,11 @@
 //!                         assert on dyadic data).
 //! ```
 //!
-//! [`SchedulingMode::Static`] keeps the previous behaviour —
-//! `aggregate_parallel` splits the source into one contiguous shard per
-//! worker, merged in worker order. It is retained as a comparison
-//! baseline (benchmarks, the CI scheduling matrix) and as a fallback
-//! knob; its float rounding is reproducible only for a *fixed* thread
-//! count, whereas the morsel merge is thread-count-independent.
+//! Morsel claiming is the only parallel scan path. The serial scan
+//! ([`aggregate`]) is the reference every parallel result is checked
+//! against, and the fallback for small inputs (below
+//! [`ParallelConfig::min_parallel_rows`], or a single morsel) and for
+//! the retry-degrade path described below.
 //!
 //! # The ctx → claim → cancel pipeline
 //!
@@ -77,9 +75,8 @@
 //!   morsels are never scanned, and the count of abandoned morsels flows
 //!   into `ExecStats::morsels_cancelled`. With the default morsel size a
 //!   cancel is observed within ~16 K rows of scan work per worker.
-//! * **serial and static-shard scans** — checked between chunks
-//!   ([`CHUNK_ROWS`] visited rows), so even a one-thread scan abandons
-//!   work promptly.
+//! * **serial scans** — checked between chunks ([`CHUNK_ROWS`] visited
+//!   rows), so even a one-thread scan abandons work promptly.
 //!
 //! A cancelled scan returns
 //! [`StorageError::Cancelled`](crate::table::StorageError)
@@ -92,33 +89,24 @@
 //! ctx as the scan progresses, which is also what arms the
 //! deterministic row-budget cancellation hook.
 //!
-//! Workers may also claim several morsels per cursor hit
-//! ([`ParallelConfig::claim_batch`], `ZV_SCHED_CLAIM_BATCH`) to cut
-//! cursor traffic under highly selective predicates; partials stay
-//! tagged by *morsel* index, so the ordered merge — and therefore
-//! bit-for-bit reproducibility — is unchanged by the batch size.
-//!
 //! # The failure & recovery pipeline
 //!
 //! Cancellation is the *cooperative* way a scan ends early; panics are
 //! the uncooperative one, and an always-on interactive engine must
-//! survive both. Every parallel worker closure (morsel and static) runs
-//! inside `catch_unwind`:
+//! survive both. Every morsel scan runs inside `catch_unwind`:
 //!
 //! 1. **Contain** — a panicking worker (organic bug or injected by the
-//!    [`crate::fault`] harness) is caught at the worker boundary. Under
-//!    morsel scheduling it trips a shared abort flag, so siblings stop
-//!    claiming at their next claim point exactly as they would for
-//!    cancellation; under static sharding siblings simply finish their
-//!    own shard. The thread pool never sees the unwind and stays
-//!    healthy.
+//!    [`crate::fault`] harness) is caught at the worker boundary. It
+//!    trips a shared abort flag, so siblings stop claiming at their next
+//!    claim point exactly as they would for cancellation. The thread
+//!    pool never sees the unwind and stays healthy.
 //! 2. **Fail cleanly** — the panicked worker's partial accumulator is
 //!    dropped on the worker; nothing partial reaches the merge, the
 //!    caller, or the result cache (`run_request_ctx` inserts only
 //!    completed results — same guarantee cancellation relies on). The
 //!    scan surfaces
 //!    [`StorageError::WorkerPanicked`](crate::table::StorageError) with
-//!    the lowest panicked morsel/shard attributed, and the engine's
+//!    the lowest panicked morsel attributed, and the engine's
 //!    [`ExecStats`](crate::stats::ExecStats) records one
 //!    `worker_panics`.
 //! 3. **Retry / degrade** — `WorkerPanicked` (and `ResourceExhausted`)
@@ -143,28 +131,27 @@
 //! # OptLevel × scheduling matrix
 //!
 //! The §5.2 batching ladder composes with this engine's parallelism along
-//! two orthogonal axes — *where queries batch* and *where threads work* —
-//! and within a query the [`SchedulingMode`] picks how row work is dealt:
+//! two orthogonal axes — *where queries batch* and *where threads work*:
 //!
-//! | OptLevel    | requests          | intra-query threads   | inter-query threads |
-//! |-------------|-------------------|-----------------------|---------------------|
-//! | `NoOpt`     | 1 per viz         | morsel / static scan  | — (1 query/request) |
-//! | `IntraLine` | 1 per row         | morsel / static scan  | across the batch    |
-//! | `IntraTask` | 1 per task prefix | morsel / static scan  | across the batch    |
-//! | `InterTask` | fewest (lookahead)| morsel / static scan  | across the batch    |
+//! | OptLevel    | requests          | intra-query threads | inter-query threads |
+//! |-------------|-------------------|---------------------|---------------------|
+//! | `NoOpt`     | 1 per viz         | morsel scan         | — (1 query/request) |
+//! | `IntraLine` | 1 per row         | morsel scan         | across the batch    |
+//! | `IntraTask` | 1 per task prefix | morsel scan         | across the batch    |
+//! | `InterTask` | fewest (lookahead)| morsel scan         | across the batch    |
 //!
 //! Inter-query fan-out happens in `Database::run_request`; intra-query
 //! fan-out here. The pool's nesting guard ([`crate::parallel`]) ensures
 //! whichever layer fans out first gets the hardware: multi-query requests
 //! parallelize across queries (each query scanning serially), single-query
-//! requests parallelize across row morsels (or static shards).
+//! requests parallelize across row morsels.
 //!
-//! The scheduling knob lives on [`ParallelConfig`] and can be forced
-//! process-wide through the environment ([`ParallelConfig::from_env`],
-//! `ZV_SCHED_MODE` / `ZV_SCHED_THREADS` / `ZV_SCHED_MIN_ROWS`) — CI's
-//! scheduling matrix runs
-//! the equivalence suites under `serial`, `static`, and `morsel` so a
-//! scheduling bug cannot hide behind the default configuration.
+//! The scan's knobs live on [`ParallelConfig`] and can be forced
+//! process-wide through the environment ([`ParallelConfig::from_env`]:
+//! `ZV_SCHED_THREADS` / `ZV_SCHED_MIN_ROWS` / `ZV_SCHED_MORSEL_ROWS`) —
+//! CI's scheduling matrix runs the equivalence suites with one thread
+//! and with forced tiny morsels, so a scheduling bug cannot hide behind
+//! the default configuration.
 
 use crate::column::{packed_delta, Chunked, CodeColumn, Coded, Column, IntColumn, SegRef};
 use crate::lifecycle::QueryCtx;
@@ -1385,48 +1372,21 @@ pub enum GroupStrategy {
     Hash,
 }
 
-/// How row work is dealt to the workers of one parallel aggregation.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub enum SchedulingMode {
-    /// One contiguous shard per worker, fixed up front
-    /// ([`aggregate_parallel`]). Reproducible for a fixed thread count;
-    /// under skewed predicates a worker can finish early and idle.
-    Static,
-    /// Workers claim fixed-size chunk-aligned morsels off a shared atomic
-    /// cursor ([`aggregate_morsel`]); partials are merged in morsel-index
-    /// order, so results are reproducible across runs *and* across all
-    /// parallel (≥ 2 worker) thread counts — a one-worker run degrades
-    /// to the serial row-order reduction, which can differ in the last
-    /// ulp on inexact measures. The default.
-    #[default]
-    Morsel,
-}
-
-/// Tuning for the parallel scan. Shared by both engines' configs.
+/// Tuning for the parallel (morsel-claiming) scan. Shared by both
+/// engines' configs.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct ParallelConfig {
     /// Worker threads for a single aggregation; `0` = all hardware
-    /// threads.
+    /// threads, `1` = always serial.
     pub threads: usize,
-    /// Sources expected to visit fewer rows than this stay serial: shard
+    /// Sources expected to visit fewer rows than this stay serial: worker
     /// setup + merge costs a few tens of microseconds, which only pays
     /// for itself on bulk scans.
     pub min_parallel_rows: usize,
-    /// How row work is distributed once a scan goes parallel.
-    pub sched: SchedulingMode,
-    /// Rows per morsel under [`SchedulingMode::Morsel`]. The default
-    /// ([`MORSEL_ROWS`]) is the production sweet spot; tests and the CI
-    /// scheduling matrix shrink it so small tables still split into
-    /// many claimable units.
+    /// Rows per morsel. The default ([`MORSEL_ROWS`]) is the production
+    /// sweet spot; tests and the CI scheduling matrix shrink it so small
+    /// tables still split into many claimable units.
     pub morsel_rows: usize,
-    /// Morsels a worker claims per cursor hit under
-    /// [`SchedulingMode::Morsel`] (default 1). Raising it cuts atomic
-    /// cursor traffic when morsels are nearly free to scan (highly
-    /// selective predicates) at the cost of coarser load balancing and
-    /// cancellation granularity. Partials stay tagged per *morsel*, so
-    /// the ordered merge — and bit-for-bit reproducibility — does not
-    /// depend on the batch size.
-    pub claim_batch: usize,
     /// Deterministic fault injection for the parallel scan and the
     /// result cache ([`crate::fault`]). Disabled by default (a single
     /// branch per injection point); armed by chaos tests and the CI
@@ -1440,9 +1400,7 @@ impl Default for ParallelConfig {
         ParallelConfig {
             threads: 0,
             min_parallel_rows: 1 << 16,
-            sched: SchedulingMode::Morsel,
             morsel_rows: MORSEL_ROWS,
-            claim_batch: 1,
             fault: crate::fault::FaultSpec::disabled(),
         }
     }
@@ -1462,87 +1420,59 @@ impl ParallelConfig {
     /// both engines' default configs use, so CI (and operators) can force
     /// a scheduling configuration without touching code:
     ///
-    /// * `ZV_SCHED_MODE` ∈ {`serial`, `static`, `morsel`} — `serial`
-    ///   pins the scan to one thread; `static`/`morsel` select the
-    ///   parallel scheduler (only — the serial gate below is a separate
-    ///   knob, so pinning a scheduler never changes *when* scans go
-    ///   parallel).
-    /// * `ZV_SCHED_THREADS=N` — explicit worker count (overrides auto).
+    /// * `ZV_SCHED_THREADS=N` — explicit worker count (overrides auto);
+    ///   `1` pins every scan to the serial path.
     /// * `ZV_SCHED_MIN_ROWS=N` — the `min_parallel_rows` serial gate.
     ///   CI's scheduling matrix sets `0` so even tiny test tables
     ///   exercise the forced machinery.
     /// * `ZV_SCHED_MORSEL_ROWS=N` (N ≥ 1) — morsel size. The matrix
     ///   shrinks it so the same tiny tables split into *many* morsels
     ///   and genuinely exercise claiming and the ordered merge.
-    /// * `ZV_SCHED_CLAIM_BATCH=N` (N ≥ 1) — morsels claimed per cursor
-    ///   hit ([`ParallelConfig::claim_batch`]).
     ///
-    /// Invalid values **panic** with the offending value: a typo'd CI
-    /// matrix leg must fail loudly, not silently run the default
+    /// Invalid values **panic** with the offending value, and so does
+    /// any other `ZV_SCHED_*` name (a typo, or a retired knob): a typo'd
+    /// CI matrix leg must fail loudly, not silently run the default
     /// configuration and pass vacuously. Empty / whitespace-only values
-    /// count as unset (matrices pass `""` for non-overridden rows).
-    /// The fault-injection knobs (`ZV_FAULT_SEED` / `ZV_FAULT_RATE` /
-    /// `ZV_FAULT_DELAY_US`) are read here too, via
+    /// of the three names count as unset (matrices pass `""` for
+    /// non-overridden rows). The fault-injection knobs (`ZV_FAULT_SEED` /
+    /// `ZV_FAULT_RATE` / `ZV_FAULT_DELAY_US`) are read here too, via
     /// [`crate::fault::FaultSpec::from_env`], so the CI chaos leg arms
     /// injection the same way the scheduling matrix forces schedulers.
     pub fn from_env() -> Self {
-        let mut cfg = Self::from_env_spec(
-            std::env::var("ZV_SCHED_MODE").ok().as_deref(),
-            std::env::var("ZV_SCHED_THREADS").ok().as_deref(),
-            std::env::var("ZV_SCHED_MIN_ROWS").ok().as_deref(),
-            std::env::var("ZV_SCHED_MORSEL_ROWS").ok().as_deref(),
-            std::env::var("ZV_SCHED_CLAIM_BATCH").ok().as_deref(),
-        );
+        let vars: Vec<(String, String)> = std::env::vars_os()
+            .filter_map(|(k, v)| Some((k.into_string().ok()?, v.into_string().ok()?)))
+            .collect();
+        let mut cfg = Self::from_env_spec(vars.iter().map(|(k, v)| (k.as_str(), v.as_str())));
         cfg.fault = crate::fault::FaultSpec::from_env();
         cfg
     }
 
-    /// Testable core of [`ParallelConfig::from_env`].
-    pub fn from_env_spec(
-        mode: Option<&str>,
-        threads: Option<&str>,
-        min_rows: Option<&str>,
-        morsel_rows: Option<&str>,
-        claim_batch: Option<&str>,
-    ) -> Self {
-        fn unset(v: Option<&str>) -> Option<&str> {
-            v.map(str::trim).filter(|s| !s.is_empty())
-        }
+    /// Testable core of [`ParallelConfig::from_env`]: applies the
+    /// `ZV_SCHED_*` entries of `(name, value)` pairs to the default
+    /// config and ignores every other name.
+    fn from_env_spec<'v>(vars: impl IntoIterator<Item = (&'v str, &'v str)>) -> Self {
         let mut cfg = ParallelConfig::default();
-        if let Some(mode) = unset(mode) {
-            match mode.to_ascii_lowercase().as_str() {
-                "serial" => {
-                    cfg.threads = 1;
-                    cfg.min_parallel_rows = usize::MAX;
-                }
-                "static" => cfg.sched = SchedulingMode::Static,
-                "morsel" => cfg.sched = SchedulingMode::Morsel,
-                other => panic!(
-                    "ZV_SCHED_MODE={other:?} not recognized (expected serial, static, or morsel)"
+        for (name, value) in vars {
+            let Some(knob) = name.strip_prefix("ZV_SCHED_") else {
+                continue;
+            };
+            let v = value.trim();
+            let count = |ok: fn(usize) -> bool, what: &str| match v.parse::<usize>() {
+                Ok(n) if ok(n) => n,
+                _ => panic!("{name}={v:?} is not {what}"),
+            };
+            match knob {
+                "THREADS" | "MIN_ROWS" | "MORSEL_ROWS" if v.is_empty() => {}
+                "THREADS" => cfg.threads = count(|_| true, "a thread count"),
+                "MIN_ROWS" => cfg.min_parallel_rows = count(|_| true, "a row count"),
+                "MORSEL_ROWS" => cfg.morsel_rows = count(|n| n >= 1, "a positive row count"),
+                _ => panic!(
+                    "{name} is not a scheduling variable (known: ZV_SCHED_THREADS, \
+                     ZV_SCHED_MIN_ROWS, ZV_SCHED_MORSEL_ROWS); morsel claiming is the only \
+                     parallel scheduler — for a serial scan set ZV_SCHED_THREADS=1 in place \
+                     of ZV_SCHED_MODE=serial"
                 ),
             }
-        }
-        if let Some(t) = unset(threads) {
-            cfg.threads = t
-                .parse::<usize>()
-                .unwrap_or_else(|_| panic!("ZV_SCHED_THREADS={t:?} is not a thread count"));
-        }
-        if let Some(m) = unset(min_rows) {
-            cfg.min_parallel_rows = m
-                .parse::<usize>()
-                .unwrap_or_else(|_| panic!("ZV_SCHED_MIN_ROWS={m:?} is not a row count"));
-        }
-        if let Some(m) = unset(morsel_rows) {
-            cfg.morsel_rows = match m.parse::<usize>() {
-                Ok(n) if n >= 1 => n,
-                _ => panic!("ZV_SCHED_MORSEL_ROWS={m:?} is not a positive row count"),
-            };
-        }
-        if let Some(b) = unset(claim_batch) {
-            cfg.claim_batch = match b.parse::<usize>() {
-                Ok(n) if n >= 1 => n,
-                _ => panic!("ZV_SCHED_CLAIM_BATCH={b:?} is not a positive morsel count"),
-            };
         }
         cfg
     }
@@ -1581,11 +1511,6 @@ impl Accumulators {
             counts: vec![0; slots],
             need_minmax,
         }
-    }
-
-    #[inline]
-    fn n_slots(&self) -> usize {
-        self.counts.len()
     }
 
     /// Drop every slot but keep the allocations (growable accumulators
@@ -1642,9 +1567,9 @@ impl Accumulators {
         }
     }
 
-    /// Fold another partial's slot into one of ours (the shard-merge
-    /// step). Exact for counts and min/max; float sums merge in worker
-    /// order, so a fixed shard split keeps results reproducible.
+    /// Fold another partial's slot into one of ours (morsel compaction
+    /// and the ordered merge). Exact for counts and min/max; float sums
+    /// depend on the order partials are folded in.
     #[inline]
     fn merge_slot(&mut self, slot: usize, other: &Accumulators, other_slot: usize) {
         debug_assert_eq!(self.n_ys, other.n_ys);
@@ -1753,8 +1678,8 @@ fn build_plan<'a>(
     })
 }
 
-/// One worker's (or the serial scan's) accumulation state: a reusable
-/// code buffer plus strategy-specific slot storage.
+/// The serial scan's accumulation state: a reusable code buffer plus
+/// strategy-specific slot storage.
 struct ChunkAccumulator<'p, 'a> {
     plan: &'p GroupPlan<'a>,
     strategy: GroupStrategy,
@@ -1891,19 +1816,32 @@ pub fn aggregate_ctx(
 ) -> Result<(ResultTable, u64), StorageError> {
     let plan = build_plan(table, query, source.stat_rows())?;
     ctx.check()?;
-    let mut acc = ChunkAccumulator::new(&plan, strategy);
+    serial_run(query, &plan, source, strategy, ctx)
+}
+
+/// The serial accumulate-and-finalize body shared by [`aggregate_ctx`]
+/// and the morsel path's one-worker fallback — the degrade refuge: no
+/// fan-out, no injection points.
+fn serial_run(
+    query: &SelectQuery,
+    plan: &GroupPlan<'_>,
+    source: &RowSource<'_>,
+    strategy: GroupStrategy,
+    ctx: &QueryCtx,
+) -> Result<(ResultTable, u64), StorageError> {
+    let mut acc = ChunkAccumulator::new(plan, strategy);
     let (scanned, completed) = source.for_each_chunk_ctx(ctx, |rows| acc.consume(rows));
     if !completed || ctx.is_cancelled() {
         return Err(StorageError::Cancelled);
     }
     let (acc, occupied) = acc.into_parts();
-    Ok((finalize_result(query, &plan, &acc, &occupied), scanned))
+    Ok((finalize_result(query, plan, &acc, &occupied), scanned))
 }
 
-/// A row source lowered to a unit-addressable form the schedulers can
-/// split: range sources keep their row interval, bitmap sources
+/// A row source lowered to a unit-addressable form morsels can be cut
+/// from: range sources keep their row interval, bitmap sources
 /// materialize their ids once and split the id array.
-enum ShardInput<'s, 'a> {
+enum MorselInput<'s, 'a> {
     Rows {
         /// First physical row of the interval; unit `u` maps to row
         /// `base + u` (non-zero only for [`RowSource::Range`]).
@@ -1917,28 +1855,28 @@ enum ShardInput<'s, 'a> {
     },
 }
 
-impl<'s, 'a> ShardInput<'s, 'a> {
+impl<'s, 'a> MorselInput<'s, 'a> {
     fn of(source: &'s RowSource<'a>) -> Self {
         match source {
-            RowSource::All(n) => ShardInput::Rows {
+            RowSource::All(n) => MorselInput::Rows {
                 base: 0,
                 n: *n,
                 pred: None,
             },
-            RowSource::Filtered { n_rows, pred } => ShardInput::Rows {
+            RowSource::Filtered { n_rows, pred } => MorselInput::Rows {
                 base: 0,
                 n: *n_rows,
                 pred: Some(pred),
             },
-            RowSource::Bitmap(bm) => ShardInput::Ids {
+            RowSource::Bitmap(bm) => MorselInput::Ids {
                 ids: bm.to_vec(),
                 pred: None,
             },
-            RowSource::BitmapFiltered { rows, pred } => ShardInput::Ids {
+            RowSource::BitmapFiltered { rows, pred } => MorselInput::Ids {
                 ids: rows.to_vec(),
                 pred: Some(pred),
             },
-            RowSource::Range { start, end, pred } => ShardInput::Rows {
+            RowSource::Range { start, end, pred } => MorselInput::Rows {
                 base: *start,
                 n: *end - *start,
                 pred: pred.as_ref(),
@@ -1948,8 +1886,8 @@ impl<'s, 'a> ShardInput<'s, 'a> {
 
     fn n_units(&self) -> usize {
         match self {
-            ShardInput::Rows { n, .. } => *n,
-            ShardInput::Ids { ids, .. } => ids.len(),
+            MorselInput::Rows { n, .. } => *n,
+            MorselInput::Ids { ids, .. } => ids.len(),
         }
     }
 
@@ -1964,234 +1902,10 @@ impl<'s, 'a> ShardInput<'s, 'a> {
         f: F,
     ) -> (u64, bool) {
         match self {
-            ShardInput::Rows { base, pred, .. } => {
+            MorselInput::Rows { base, pred, .. } => {
                 scan_range_ctx(base + start, base + end, *pred, ctx, f)
             }
-            ShardInput::Ids { ids, pred } => scan_ids_ctx(&ids[start..end], *pred, ctx, f),
-        }
-    }
-}
-
-/// Statically sharded variant of [`aggregate`]: splits the source into
-/// contiguous per-worker shards, accumulates per-worker partials on the
-/// shared pool, and merges them (Dense by slot, Hash by composite code)
-/// before the common finalize. `threads == 0` means auto. Produces the
-/// same `ResultTable` and scanned count as the serial path — bit-for-bit
-/// when measure sums are exactly representable, and within float merge
-/// rounding otherwise. Kept as the [`SchedulingMode::Static`] baseline;
-/// the default scheduler is [`aggregate_morsel`].
-pub fn aggregate_parallel(
-    table: &Table,
-    query: &SelectQuery,
-    source: &RowSource<'_>,
-    strategy: GroupStrategy,
-    threads: usize,
-) -> Result<(ResultTable, u64), StorageError> {
-    aggregate_parallel_ctx(table, query, source, strategy, threads, &QueryCtx::new())
-}
-
-/// Cancellable [`aggregate_parallel`]: each shard's scan checks `ctx`
-/// between chunks; a cancelled scan abandons its remaining shards and
-/// returns [`StorageError::Cancelled`] without merging any partials.
-pub fn aggregate_parallel_ctx(
-    table: &Table,
-    query: &SelectQuery,
-    source: &RowSource<'_>,
-    strategy: GroupStrategy,
-    threads: usize,
-    ctx: &QueryCtx,
-) -> Result<(ResultTable, u64), StorageError> {
-    static_run(
-        table,
-        query,
-        source,
-        strategy,
-        threads,
-        crate::fault::FaultSpec::disabled(),
-        None,
-        ctx,
-    )
-}
-
-/// Shared implementation behind the static-shard entry points. Worker
-/// closures run inside `catch_unwind`: a panicking shard (organic or
-/// injected via `fault`) is contained, its partial is dropped, and the
-/// scan surfaces [`StorageError::WorkerPanicked`] — siblings finish
-/// their own shard (static sharding has no claim loop to abort), the
-/// pool stays healthy, and nothing reaches the merge or the cache.
-#[allow(clippy::too_many_arguments)]
-fn static_run(
-    table: &Table,
-    query: &SelectQuery,
-    source: &RowSource<'_>,
-    strategy: GroupStrategy,
-    threads: usize,
-    fault: crate::fault::FaultSpec,
-    stats: Option<&crate::stats::ExecStats>,
-    ctx: &QueryCtx,
-) -> Result<(ResultTable, u64), StorageError> {
-    let plan = build_plan(table, query, source.stat_rows())?;
-    ctx.check()?;
-    let mut workers = parallel::effective_threads(threads);
-    if strategy == GroupStrategy::Dense {
-        // Each dense worker owns `total` slots; shed workers before
-        // exhausting memory on very wide key spaces.
-        let cap = (DENSE_PARALLEL_SLOT_BUDGET / plan.total.max(1)).max(1) as usize;
-        workers = workers.min(cap);
-    }
-
-    // `estimated_rows` equals the unit count of every source shape, so
-    // the serial fallback is decided *before* a bitmap source pays the
-    // cost of materializing its id array.
-    let n_units = source.estimated_rows();
-    workers = workers.min(n_units.max(1));
-    if workers <= 1 {
-        // The serial path is the degrade refuge: no fan-out, no
-        // injection points.
-        let mut acc = ChunkAccumulator::new(&plan, strategy);
-        let (scanned, completed) = source.for_each_chunk_ctx(ctx, |rows| acc.consume(rows));
-        if !completed || ctx.is_cancelled() {
-            return Err(StorageError::Cancelled);
-        }
-        let (acc, occupied) = acc.into_parts();
-        return Ok((finalize_result(query, &plan, &acc, &occupied), scanned));
-    }
-    let input = ShardInput::of(source);
-    debug_assert_eq!(input.n_units(), n_units);
-    let shards = parallel::split_ranges(n_units, workers);
-    let epoch = ctx.fault_epoch();
-    if fault.fires(
-        crate::fault::FaultPoint::WorkerSpawn,
-        shards.len() as u64,
-        epoch,
-    ) {
-        return Err(StorageError::ResourceExhausted(format!(
-            "injected worker-spawn failure ({} shards)",
-            shards.len()
-        )));
-    }
-
-    type ShardOut = Result<(ChunkAccumulatorParts, u64), (u64, String)>;
-    let partials: Vec<ShardOut> = parallel::run_workers(shards.len(), |w| {
-        std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            if fault.fires(crate::fault::FaultPoint::MorselDelay, w as u64, epoch) {
-                fault.delay();
-            }
-            if fault.fires(crate::fault::FaultPoint::ChunkScanPanic, w as u64, epoch) {
-                crate::fault::injected_panic(w as u64);
-            }
-            let (start, end) = shards[w];
-            let mut acc = ChunkAccumulator::new(&plan, strategy);
-            let (visited, _completed) = input.scan_ctx(start, end, ctx, |rows| acc.consume(rows));
-            (
-                ChunkAccumulatorParts {
-                    acc: acc.acc,
-                    slot_of: acc.slot_of,
-                },
-                visited,
-            )
-        }))
-        .map_err(|payload| {
-            (
-                w as u64,
-                crate::fault::panic_payload_string(payload.as_ref()),
-            )
-        })
-    });
-
-    if ctx.is_cancelled() {
-        return Err(StorageError::Cancelled);
-    }
-    if let Some((morsel, payload)) = partials
-        .iter()
-        .filter_map(|r| r.as_ref().err())
-        .min_by_key(|(w, _)| *w)
-    {
-        // Panicked shards drop their partials on the worker; the whole
-        // scan fails cleanly with the lowest failing shard attributed.
-        if let Some(s) = stats {
-            s.record_worker_panic();
-        }
-        return Err(StorageError::WorkerPanicked {
-            payload: payload.clone(),
-            morsel: *morsel,
-        });
-    }
-    let ok = partials.into_iter().map(|r| match r {
-        Ok(p) => p,
-        Err(_) => unreachable!("panicked shards returned above"),
-    });
-    let (parts, visits): (Vec<_>, Vec<u64>) = ok.unzip();
-    let scanned: u64 = visits.iter().sum();
-    let (acc, occupied) = merge_partials(&plan, strategy, parts.into_iter());
-    Ok((finalize_result(query, &plan, &acc, &occupied), scanned))
-}
-
-/// A worker's raw partial state, sent back for merging.
-struct ChunkAccumulatorParts {
-    acc: Accumulators,
-    slot_of: HashMap<u64, u32>,
-}
-
-/// Merge per-worker partials in worker order: Dense by slot index, Hash
-/// by composite code (the global slot table grows in first-seen order,
-/// then finalize sorts by code as usual).
-fn merge_partials(
-    plan: &GroupPlan<'_>,
-    strategy: GroupStrategy,
-    partials: impl Iterator<Item = ChunkAccumulatorParts>,
-) -> (DenseOrHash, Vec<u64>) {
-    let n_ys = plan.ys.len().max(1);
-    match strategy {
-        GroupStrategy::Dense => {
-            let mut global: Option<Accumulators> = None;
-            for part in partials {
-                match &mut global {
-                    None => global = Some(part.acc),
-                    Some(g) => {
-                        for slot in 0..part.acc.n_slots() {
-                            if part.acc.counts[slot] > 0 {
-                                g.merge_slot(slot, &part.acc, slot);
-                            }
-                        }
-                    }
-                }
-            }
-            let g = global
-                .unwrap_or_else(|| Accumulators::new(plan.total as usize, n_ys, plan.need_minmax));
-            let occupied = (0..plan.total)
-                .filter(|&code| g.counts[code as usize] > 0)
-                .collect();
-            (DenseOrHash::Dense(g), occupied)
-        }
-        GroupStrategy::Hash => {
-            let mut g = Accumulators::new(0, n_ys, plan.need_minmax);
-            let mut slot_of: HashMap<u64, u32> = HashMap::new();
-            for part in partials {
-                // Deterministic iteration: visit this partial's codes in
-                // ascending order so global slot assignment (and float
-                // merge order) does not depend on HashMap iteration.
-                let mut pairs: Vec<(u64, u32)> = part.slot_of.into_iter().collect();
-                pairs.sort_unstable();
-                slot_of.reserve(pairs.len());
-                g.reserve(pairs.len());
-                for (code, local_slot) in pairs {
-                    let slot = match slot_of.entry(code) {
-                        Entry::Occupied(e) => *e.get() as usize,
-                        Entry::Vacant(e) => {
-                            let s = g.grow_one();
-                            e.insert(s as u32);
-                            s
-                        }
-                    };
-                    g.merge_slot(slot, &part.acc, local_slot as usize);
-                }
-            }
-            let mut pairs: Vec<(u64, u32)> = slot_of.into_iter().collect();
-            pairs.sort_unstable();
-            let slots: Vec<u32> = pairs.iter().map(|&(_, s)| s).collect();
-            let occupied = pairs.into_iter().map(|(c, _)| c).collect();
-            (DenseOrHash::Hash(g, slots), occupied)
+            MorselInput::Ids { ids, pred } => scan_ids_ctx(&ids[start..end], *pred, ctx, f),
         }
     }
 }
@@ -2217,7 +1931,7 @@ pub struct MorselMetrics {
     pub morsels: u64,
     /// Morsels claimed *beyond* an even `ceil(morsels / workers)` share,
     /// summed over workers — work the dynamic claiming moved off
-    /// overloaded workers (a static split would have stranded it).
+    /// overloaded workers.
     pub steals: u64,
     /// Workers that claimed no morsel at all (the scan finished before
     /// they reached the cursor).
@@ -2396,34 +2110,20 @@ fn merge_morsel_partials(
     }
 }
 
-/// Morsel-scheduled variant of [`aggregate`] — the default parallel path
-/// ([`SchedulingMode::Morsel`]). Workers pull fixed-size, chunk-aligned
-/// morsels off a shared atomic cursor, so a skew-heavy region of the
-/// table is absorbed by whichever workers are free instead of stranding
-/// one static shard; per-morsel partials are compacted, tagged by morsel
-/// index, and merged in index order, so the result (including float
-/// rounding) is reproducible across runs and across parallel (≥ 2
-/// worker) thread counts — one worker degrades to the serial row-order
-/// reduction — and identical to the serial path whenever measure sums
-/// are exactly representable. `threads == 0` means auto. Returns the
-/// ordered result,
-/// rows visited, and claim telemetry (`None` when the scan degenerated
-/// to serial).
+/// Morsel-scheduled variant of [`aggregate`] — the parallel scan path.
+/// Workers claim fixed-size, chunk-aligned morsels of `morsel_rows` rows
+/// one at a time off a shared atomic cursor, so a skew-heavy region of
+/// the table is absorbed by whichever workers are free; per-morsel
+/// partials are compacted, tagged by morsel index, and merged in index
+/// order, so the result (including float rounding) is reproducible
+/// across runs and across parallel (≥ 2 worker) thread counts — one
+/// worker degrades to the serial row-order reduction — and identical to
+/// the serial path whenever measure sums are exactly representable.
+/// `threads == 0` means auto; [`MORSEL_ROWS`] is the production morsel
+/// size (tests pass tiny sizes to get many morsels out of small inputs).
+/// Returns the ordered result, rows visited, and claim telemetry (`None`
+/// when the scan degenerated to serial).
 pub fn aggregate_morsel(
-    table: &Table,
-    query: &SelectQuery,
-    source: &RowSource<'_>,
-    strategy: GroupStrategy,
-    threads: usize,
-) -> Result<(ResultTable, u64, Option<MorselMetrics>), StorageError> {
-    aggregate_morsel_sized(table, query, source, strategy, threads, MORSEL_ROWS)
-}
-
-/// [`aggregate_morsel`] with an explicit morsel size — a hook for tests
-/// and benchmarks that need many morsels out of small inputs (claiming
-/// and the ordered merge are size-independent; [`MORSEL_ROWS`] is purely
-/// the production perf sweet spot).
-pub fn aggregate_morsel_sized(
     table: &Table,
     query: &SelectQuery,
     source: &RowSource<'_>,
@@ -2438,19 +2138,15 @@ pub fn aggregate_morsel_sized(
         strategy,
         threads,
         morsel_rows,
-        1,
         &QueryCtx::new(),
     )
 }
 
-/// Fully parameterized morsel aggregation: explicit morsel size, claim
-/// batch, and lifecycle ctx. Workers check `ctx` **between claims** (the
-/// scheduler's cancellation point) and, with `claim_batch > 1`, grab
-/// several consecutive morsels per cursor hit; partials remain tagged by
-/// morsel index so the ordered merge is identical for every batch size.
-/// A cancelled scan returns [`StorageError::Cancelled`], recording the
-/// abandoned morsel count on the ctx.
-#[allow(clippy::too_many_arguments)]
+/// Cancellable [`aggregate_morsel`]. Workers check `ctx` **between
+/// claims** (the scheduler's cancellation point) and between chunks
+/// inside a claimed morsel. A cancelled scan returns
+/// [`StorageError::Cancelled`], recording the abandoned morsel count on
+/// the ctx.
 pub fn aggregate_morsel_ctx(
     table: &Table,
     query: &SelectQuery,
@@ -2458,7 +2154,6 @@ pub fn aggregate_morsel_ctx(
     strategy: GroupStrategy,
     threads: usize,
     morsel_rows: usize,
-    claim_batch: usize,
     ctx: &QueryCtx,
 ) -> Result<(ResultTable, u64, Option<MorselMetrics>), StorageError> {
     morsel_run(
@@ -2468,7 +2163,6 @@ pub fn aggregate_morsel_ctx(
         strategy,
         threads,
         morsel_rows,
-        claim_batch,
         crate::fault::FaultSpec::disabled(),
         None,
         ctx,
@@ -2494,13 +2188,11 @@ fn morsel_run(
     strategy: GroupStrategy,
     threads: usize,
     morsel_rows: usize,
-    claim_batch: usize,
     fault: crate::fault::FaultSpec,
     stats: Option<&crate::stats::ExecStats>,
     ctx: &QueryCtx,
 ) -> Result<(ResultTable, u64, Option<MorselMetrics>), StorageError> {
     assert!(morsel_rows >= 1, "morsel size must be positive");
-    assert!(claim_batch >= 1, "claim batch must be positive");
     let plan = build_plan(table, query, source.stat_rows())?;
     ctx.check()?;
     let mut workers = parallel::effective_threads(threads);
@@ -2517,19 +2209,9 @@ fn morsel_run(
     let n_morsels = n_units.div_ceil(morsel_rows);
     workers = workers.min(n_morsels.max(1));
     if workers <= 1 {
-        let mut acc = ChunkAccumulator::new(&plan, strategy);
-        let (scanned, completed) = source.for_each_chunk_ctx(ctx, |rows| acc.consume(rows));
-        if !completed || ctx.is_cancelled() {
-            return Err(StorageError::Cancelled);
-        }
-        let (acc, occupied) = acc.into_parts();
-        return Ok((
-            finalize_result(query, &plan, &acc, &occupied),
-            scanned,
-            None,
-        ));
+        return serial_run(query, &plan, source, strategy, ctx).map(|(rt, n)| (rt, n, None));
     }
-    let input = ShardInput::of(source);
+    let input = MorselInput::of(source);
     debug_assert_eq!(input.n_units(), n_units);
     let epoch = ctx.fault_epoch();
     if fault.fires(
@@ -2552,57 +2234,55 @@ fn morsel_run(
         let mut out = Vec::new();
         let mut visited = 0u64;
         let mut panicked: Option<(u64, String)> = None;
-        'claims: loop {
+        loop {
             // The claim point doubles as the cancellation/abort point: a
             // worker that sees either flag stops claiming, leaving the
             // remaining morsels unscanned.
             if abort.load(Ordering::Relaxed) || ctx.is_cancelled() {
                 break;
             }
-            let m0 = cursor.fetch_add(claim_batch, Ordering::Relaxed);
-            if m0 >= n_morsels {
+            let m = cursor.fetch_add(1, Ordering::Relaxed);
+            if m >= n_morsels {
                 break;
             }
-            for m in m0..(m0 + claim_batch).min(n_morsels) {
-                let start = m * morsel_rows;
-                let end = ((m + 1) * morsel_rows).min(n_units);
-                // `scan_ctx` checks the ctx between chunks *inside* the
-                // claimed morsel (and records scanned rows as it goes),
-                // so injected per-morsel delays or oversized morsels
-                // cannot stretch cancel latency past one chunk.
-                let scan = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                    if fault.fires(crate::fault::FaultPoint::MorselDelay, m as u64, epoch) {
-                        fault.delay();
+            let start = m * morsel_rows;
+            let end = ((m + 1) * morsel_rows).min(n_units);
+            // `scan_ctx` checks the ctx between chunks *inside* the
+            // claimed morsel (and records scanned rows as it goes), so
+            // injected per-morsel delays or oversized morsels cannot
+            // stretch cancel latency past one chunk.
+            let scan = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                if fault.fires(crate::fault::FaultPoint::MorselDelay, m as u64, epoch) {
+                    fault.delay();
+                }
+                if fault.fires(crate::fault::FaultPoint::ChunkScanPanic, m as u64, epoch) {
+                    crate::fault::injected_panic(m as u64);
+                }
+                input.scan_ctx(start, end, ctx, |rows| acc.consume(rows))
+            }));
+            match scan {
+                Ok((v, completed)) => {
+                    visited += v;
+                    if !completed {
+                        // Cancelled mid-morsel: the partial is dropped
+                        // and the morsel stays unaccounted (it joins the
+                        // abandoned count below).
+                        break;
                     }
-                    if fault.fires(crate::fault::FaultPoint::ChunkScanPanic, m as u64, epoch) {
-                        crate::fault::injected_panic(m as u64);
-                    }
-                    input.scan_ctx(start, end, ctx, |rows| acc.consume(rows))
-                }));
-                match scan {
-                    Ok((v, completed)) => {
-                        visited += v;
-                        if !completed {
-                            // Cancelled mid-morsel: the partial is
-                            // dropped and the morsel stays unaccounted
-                            // (it joins the abandoned count below).
-                            break 'claims;
-                        }
-                        ctx.record_morsel_claimed();
-                        out.push((m, acc.take_partial()));
-                    }
-                    Err(payload) => {
-                        // Contained worker panic: the accumulator state
-                        // is suspect, so this worker contributes nothing
-                        // further; siblings see `abort` at their next
-                        // claim point.
-                        abort.store(true, Ordering::Relaxed);
-                        panicked = Some((
-                            m as u64,
-                            crate::fault::panic_payload_string(payload.as_ref()),
-                        ));
-                        break 'claims;
-                    }
+                    ctx.record_morsel_claimed();
+                    out.push((m, acc.take_partial()));
+                }
+                Err(payload) => {
+                    // Contained worker panic: the accumulator state is
+                    // suspect, so this worker contributes nothing
+                    // further; siblings see `abort` at their next claim
+                    // point.
+                    abort.store(true, Ordering::Relaxed);
+                    panicked = Some((
+                        m as u64,
+                        crate::fault::panic_payload_string(payload.as_ref()),
+                    ));
+                    break;
                 }
             }
         }
@@ -2659,11 +2339,10 @@ fn morsel_run(
 }
 
 /// Engine-facing dispatcher: run the aggregation with `threads` workers
-/// under `cfg.sched` (serial when `threads <= 1`), recording morsel
-/// claim telemetry into `stats` and observing `ctx` at each scheduler's
-/// cancellation point (between chunks for serial/static, between claims
-/// for morsel). Both engines' pinned snapshots route their scans through
-/// here.
+/// (serial when `threads <= 1`, morsel-claimed otherwise), recording
+/// morsel claim telemetry into `stats` and observing `ctx` at the scan's
+/// cancellation points (between chunks, and between claims). Both
+/// engines' pinned snapshots route their scans through here.
 #[allow(clippy::too_many_arguments)]
 pub fn run_scheduled(
     table: &Table,
@@ -2678,41 +2357,26 @@ pub fn run_scheduled(
     if threads <= 1 {
         return aggregate_ctx(table, query, source, strategy, ctx);
     }
-    match cfg.sched {
-        SchedulingMode::Static => static_run(
-            table,
-            query,
-            source,
-            strategy,
-            threads,
-            cfg.fault,
-            Some(stats),
-            ctx,
-        ),
-        SchedulingMode::Morsel => {
-            let (rt, scanned, metrics) = morsel_run(
-                table,
-                query,
-                source,
-                strategy,
-                threads,
-                cfg.morsel_rows,
-                cfg.claim_batch,
-                cfg.fault,
-                Some(stats),
-                ctx,
-            )?;
-            if let Some(m) = &metrics {
-                stats.record_morsel(m);
-            }
-            Ok((rt, scanned))
-        }
+    let (rt, scanned, metrics) = morsel_run(
+        table,
+        query,
+        source,
+        strategy,
+        threads,
+        cfg.morsel_rows,
+        cfg.fault,
+        Some(stats),
+        ctx,
+    )?;
+    if let Some(m) = &metrics {
+        stats.record_morsel(m);
     }
+    Ok((rt, scanned))
 }
 
 /// Decode composite codes, group consecutive rows sharing the same
 /// z-prefix, and sort by decoded values — shared by the serial and
-/// sharded paths.
+/// morsel paths.
 fn finalize_result(
     query: &SelectQuery,
     plan: &GroupPlan<'_>,
@@ -2868,13 +2532,16 @@ mod tests {
         let src = RowSource::All(t.num_rows());
         let (mut rt, scanned) = aggregate(&t, q, &src, strategy).unwrap();
         assert_eq!(scanned, 6);
-        // the sharded path must agree even on tiny inputs
-        let (par, par_scanned) = aggregate_parallel(&t, q, &src, strategy, 3).unwrap();
+        // the morsel path must agree even on tiny inputs: 2-row morsels
+        // fan out across real claims…
+        let (par, par_scanned, metrics) = aggregate_morsel(&t, q, &src, strategy, 3, 2).unwrap();
         assert_eq!(par, rt);
         assert_eq!(par_scanned, scanned);
-        // ...and so must the morsel path (which degenerates to the
-        // serial scan here: one morsel covers the whole table)
-        let (mor, mor_scanned, metrics) = aggregate_morsel(&t, q, &src, strategy, 3).unwrap();
+        assert_eq!(metrics.expect("3 morsels fan out").morsels, 3);
+        // …and production-size morsels degenerate to the serial scan
+        // (one morsel covers the whole table)
+        let (mor, mor_scanned, metrics) =
+            aggregate_morsel(&t, q, &src, strategy, 3, MORSEL_ROWS).unwrap();
         assert_eq!(mor, rt);
         assert_eq!(mor_scanned, scanned);
         assert!(metrics.is_none(), "sub-morsel input must not fan out");
@@ -2976,19 +2643,16 @@ mod tests {
         let g = &rt.groups[0];
         assert_eq!(g.xs, vec![Value::Int(2014), Value::Int(2015)]);
         assert_eq!(g.ys[0], vec![7.0, 20.0]); // desk@2014 + (desk+chair)@2015
-                                              // Sharded and morsel paths must agree on the offset interval.
+
+        // The morsel path must agree on the offset interval, split into
+        // one-row morsels or kept whole.
         for threads in [2, 3] {
-            let make = || RowSource::Range {
-                start: 3,
-                end: 6,
-                pred: None,
-            };
-            let (par, n) =
-                aggregate_parallel(&t, &q, &make(), GroupStrategy::Dense, threads).unwrap();
-            assert_eq!((par, n), (rt.clone(), scanned));
-            let (mor, n, _) =
-                aggregate_morsel(&t, &q, &make(), GroupStrategy::Dense, threads).unwrap();
-            assert_eq!((mor, n), (rt.clone(), scanned));
+            for morsel_rows in [1, MORSEL_ROWS] {
+                let (mor, n, _) =
+                    aggregate_morsel(&t, &q, &src, GroupStrategy::Dense, threads, morsel_rows)
+                        .unwrap();
+                assert_eq!((mor, n), (rt.clone(), scanned));
+            }
         }
     }
 
@@ -3105,7 +2769,8 @@ mod tests {
         let (rt, scanned) = aggregate(&t, &q, &src, GroupStrategy::Dense).unwrap();
         assert!(rt.is_empty());
         assert_eq!(scanned, 0);
-        let (rt, scanned) = aggregate_parallel(&t, &q, &src, GroupStrategy::Hash, 4).unwrap();
+        let (rt, scanned, _) =
+            aggregate_morsel(&t, &q, &src, GroupStrategy::Hash, 4, MORSEL_ROWS).unwrap();
         assert!(rt.is_empty());
         assert_eq!(scanned, 0);
     }
@@ -3130,7 +2795,6 @@ mod tests {
     fn parallel_config_gates_small_scans() {
         let cfg = ParallelConfig::default();
         assert_eq!(cfg.threads_for(10), 1, "tiny scans stay serial");
-        assert_eq!(cfg.sched, SchedulingMode::Morsel, "morsel is the default");
         let explicit = ParallelConfig {
             threads: 4,
             min_parallel_rows: 0,
@@ -3141,66 +2805,59 @@ mod tests {
 
     #[test]
     fn parallel_config_env_overrides() {
-        let serial = ParallelConfig::from_env_spec(Some("serial"), None, None, None, None);
-        assert_eq!(serial.threads, 1);
+        let spec = |vars: &[(&'static str, &'static str)]| {
+            ParallelConfig::from_env_spec(vars.iter().copied())
+        };
+        // One thread is the serial scan.
+        let serial = spec(&[("ZV_SCHED_THREADS", "1")]);
         assert_eq!(serial.threads_for(usize::MAX - 1), 1);
 
-        // Pinning a scheduler does not change *when* scans go parallel…
-        let stat = ParallelConfig::from_env_spec(Some("static"), Some("2"), None, None, None);
-        assert_eq!(stat.sched, SchedulingMode::Static);
-        assert_eq!(stat.threads, 2);
-        assert_eq!(
-            stat.min_parallel_rows,
-            ParallelConfig::default().min_parallel_rows,
-            "mode alone must not drop the serial gate"
-        );
-        // …the gate, the morsel size, and the claim batch are their own
-        // knobs (the CI matrix sets 0 and a small morsel so tiny tables
-        // fan out over many real claims).
-        let forced = ParallelConfig::from_env_spec(
-            Some(" MORSEL "),
-            Some("3"),
-            Some("0"),
-            Some("256"),
-            Some("4"),
-        );
-        assert_eq!(forced.sched, SchedulingMode::Morsel);
+        // The gate and the morsel size are their own knobs (the CI
+        // matrix sets 0 and a small morsel so tiny tables fan out over
+        // many real claims); other names pass through untouched.
+        let forced = spec(&[
+            ("ZV_SCHED_THREADS", "3"),
+            ("ZV_SCHED_MIN_ROWS", " 0 "),
+            ("ZV_SCHED_MORSEL_ROWS", "256"),
+            ("ZV_FAULT_SEED", "not a scheduling knob"),
+            ("PATH", "/usr/bin"),
+        ]);
         assert_eq!(forced.threads, 3);
         assert_eq!(forced.threads_for(1), 3);
         assert_eq!(forced.morsel_rows, 256);
-        assert_eq!(forced.claim_batch, 4);
 
-        // Empty strings (a CI matrix's "not overridden" row) are unset.
+        // An empty environment, and empty strings (a CI matrix's "not
+        // overridden" row), give the default config.
+        assert_eq!(spec(&[]), ParallelConfig::default());
         assert_eq!(
-            ParallelConfig::from_env_spec(Some(""), Some(" "), Some(""), Some(""), Some("")),
+            spec(&[
+                ("ZV_SCHED_THREADS", ""),
+                ("ZV_SCHED_MIN_ROWS", " "),
+                ("ZV_SCHED_MORSEL_ROWS", ""),
+            ]),
             ParallelConfig::default()
         );
-        assert_eq!(
-            ParallelConfig::from_env_spec(None, None, None, None, None),
-            ParallelConfig::default()
-        );
-        assert_eq!(ParallelConfig::default().claim_batch, 1);
 
-        // Typos must fail loudly, not silently run the default config.
+        // Typos, bad values and retired knobs must fail loudly, not
+        // silently run the default config.
         for bad in [
-            std::panic::catch_unwind(|| {
-                ParallelConfig::from_env_spec(Some("bogus"), None, None, None, None)
-            }),
-            std::panic::catch_unwind(|| {
-                ParallelConfig::from_env_spec(None, Some("lots"), None, None, None)
-            }),
-            std::panic::catch_unwind(|| {
-                ParallelConfig::from_env_spec(None, None, Some("-3"), None, None)
-            }),
-            std::panic::catch_unwind(|| {
-                ParallelConfig::from_env_spec(None, None, None, Some("0"), None)
-            }),
-            std::panic::catch_unwind(|| {
-                ParallelConfig::from_env_spec(None, None, None, None, Some("0"))
-            }),
+            ("ZV_SCHED_MODE", "static"),
+            ("ZV_SCHED_CLAIM_BATCH", "2"),
+            ("ZV_SCHED_THREAD", "2"),
+            ("ZV_SCHED_THREADS", "lots"),
+            ("ZV_SCHED_MIN_ROWS", "-3"),
+            ("ZV_SCHED_MORSEL_ROWS", "0"),
         ] {
-            assert!(bad.is_err(), "invalid ZV_SCHED_* values must panic");
+            let caught = std::panic::catch_unwind(|| spec(&[bad]));
+            let msg = caught.expect_err("invalid ZV_SCHED_* must panic");
+            let msg = msg
+                .downcast_ref::<String>()
+                .expect("formatted panic message");
+            assert!(msg.contains(bad.0), "{msg}");
         }
+        let retired = std::panic::catch_unwind(|| spec(&[("ZV_SCHED_MODE", "serial")]));
+        let msg = retired.unwrap_err().downcast::<String>().unwrap();
+        assert!(msg.contains("ZV_SCHED_THREADS=1"), "{msg}");
     }
 
     /// A table big enough for several morsels, with values exactly
@@ -3232,7 +2889,8 @@ mod tests {
         let src = RowSource::All(t.num_rows());
         for strategy in [GroupStrategy::Dense, GroupStrategy::Hash] {
             let (serial, scanned) = aggregate(&t, &q, &src, strategy).unwrap();
-            let (mor, mor_scanned, metrics) = aggregate_morsel(&t, &q, &src, strategy, 2).unwrap();
+            let (mor, mor_scanned, metrics) =
+                aggregate_morsel(&t, &q, &src, strategy, 2, MORSEL_ROWS).unwrap();
             assert_eq!(mor, serial);
             assert_eq!(mor_scanned, scanned);
             let m = metrics.expect("multi-morsel scan must report telemetry");
@@ -3248,9 +2906,9 @@ mod tests {
     }
 
     #[test]
-    fn morsel_skewed_filter_matches_serial_and_static() {
+    fn morsel_skewed_filter_matches_serial() {
         // All matching rows cluster in the first eighth of the table —
-        // the shape that starves a static split.
+        // the shape that starves a contiguous per-worker split.
         let rows = 4 * MORSEL_ROWS;
         let t = wide_table(rows);
         let q = SelectQuery::new(XSpec::raw("key"), vec![YSpec::sum("val")]);
@@ -3262,52 +2920,10 @@ mod tests {
         for strategy in [GroupStrategy::Dense, GroupStrategy::Hash] {
             let (serial, scanned) = aggregate(&t, &q, &make_src(), strategy).unwrap();
             for threads in [2usize, 3, 5] {
-                let (stat, stat_scanned) =
-                    aggregate_parallel(&t, &q, &make_src(), strategy, threads).unwrap();
                 let (mor, mor_scanned, _) =
-                    aggregate_morsel(&t, &q, &make_src(), strategy, threads).unwrap();
-                assert_eq!(stat, serial, "{strategy:?} static × {threads}");
+                    aggregate_morsel(&t, &q, &make_src(), strategy, threads, MORSEL_ROWS).unwrap();
                 assert_eq!(mor, serial, "{strategy:?} morsel × {threads}");
-                assert_eq!(stat_scanned, scanned);
                 assert_eq!(mor_scanned, scanned);
-            }
-        }
-    }
-
-    #[test]
-    fn claim_batching_is_merge_transparent() {
-        // Batched claiming changes only *who* scans which morsel, never
-        // the morsel tagging — so any batch size must reproduce the
-        // unbatched result bit-for-bit (inexact floats included: the
-        // merge is ordered by morsel index either way).
-        let rows = 7 * MORSEL_ROWS + 123;
-        let t = wide_table(rows);
-        let q = SelectQuery::new(XSpec::raw("key"), vec![YSpec::sum("val")]);
-        let src = RowSource::All(t.num_rows());
-        for strategy in [GroupStrategy::Dense, GroupStrategy::Hash] {
-            let (reference, scanned, _) = aggregate_morsel(&t, &q, &src, strategy, 2).unwrap();
-            for batch in [2usize, 3, 64] {
-                for threads in [2usize, 3] {
-                    let ctx = QueryCtx::new();
-                    let (rt, b_scanned, metrics) = aggregate_morsel_ctx(
-                        &t,
-                        &q,
-                        &src,
-                        strategy,
-                        threads,
-                        MORSEL_ROWS,
-                        batch,
-                        &ctx,
-                    )
-                    .unwrap();
-                    assert_eq!(rt, reference, "{strategy:?} batch {batch} × {threads}");
-                    assert_eq!(b_scanned, scanned);
-                    let m = metrics.expect("multi-morsel scan must report telemetry");
-                    assert_eq!(m.morsels, 8);
-                    assert_eq!(m.per_worker.iter().sum::<u64>(), m.morsels);
-                    assert_eq!(ctx.stats().morsels_claimed, m.morsels);
-                    assert_eq!(ctx.stats().rows_scanned, scanned);
-                }
             }
         }
     }
@@ -3321,13 +2937,10 @@ mod tests {
 
         // Pre-cancelled: no scheduler may scan a single row.
         type Run = fn(&Table, &SelectQuery, &RowSource<'_>, &QueryCtx) -> Result<(), StorageError>;
-        let runs: [Run; 3] = [
+        let runs: [Run; 2] = [
             |t, q, src, ctx| aggregate_ctx(t, q, src, GroupStrategy::Dense, ctx).map(|_| ()),
             |t, q, src, ctx| {
-                aggregate_parallel_ctx(t, q, src, GroupStrategy::Dense, 3, ctx).map(|_| ())
-            },
-            |t, q, src, ctx| {
-                aggregate_morsel_ctx(t, q, src, GroupStrategy::Dense, 3, MORSEL_ROWS, 1, ctx)
+                aggregate_morsel_ctx(t, q, src, GroupStrategy::Dense, 3, MORSEL_ROWS, ctx)
                     .map(|_| ())
             },
         ];
@@ -3344,7 +2957,7 @@ mod tests {
         // A mid-scan row budget stops the morsel path strictly early and
         // accounts for the abandoned morsels.
         let ctx = QueryCtx::new().with_row_budget(MORSEL_ROWS as u64);
-        let err = aggregate_morsel_ctx(&t, &q, &src, GroupStrategy::Dense, 2, MORSEL_ROWS, 1, &ctx)
+        let err = aggregate_morsel_ctx(&t, &q, &src, GroupStrategy::Dense, 2, MORSEL_ROWS, &ctx)
             .unwrap_err();
         assert_eq!(err, StorageError::Cancelled);
         let stats = ctx.stats();
@@ -3393,10 +3006,12 @@ mod tests {
         );
         let src = RowSource::All(t.num_rows());
         for strategy in [GroupStrategy::Dense, GroupStrategy::Hash] {
-            let (reference, _, _) = aggregate_morsel(&t, &q, &src, strategy, 2).unwrap();
+            let (reference, _, _) =
+                aggregate_morsel(&t, &q, &src, strategy, 2, MORSEL_ROWS).unwrap();
             for threads in [2usize, 3, 5, 8] {
                 for _rep in 0..2 {
-                    let (rt, _, _) = aggregate_morsel(&t, &q, &src, strategy, threads).unwrap();
+                    let (rt, _, _) =
+                        aggregate_morsel(&t, &q, &src, strategy, threads, MORSEL_ROWS).unwrap();
                     assert_eq!(rt.groups.len(), reference.groups.len());
                     for (g, gref) in rt.groups.iter().zip(&reference.groups) {
                         assert_eq!(g.xs, gref.xs);

@@ -49,14 +49,13 @@ pub const PANIC_MARKER: &str = "[zv-fault]";
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum FaultPoint {
     /// Panic inside a parallel worker just before it scans a morsel
-    /// (morsel scheduling: index = morsel index; static scheduling:
-    /// index = shard index).
+    /// (index = morsel index).
     ChunkScanPanic,
     /// Fail a result-cache insert (index = per-cache insert sequence
     /// number). The query still succeeds; the result just isn't cached.
     CacheInsert,
-    /// Fail parallel fan-out before any worker starts (index = morsel /
-    /// shard count). Surfaces as `StorageError::ResourceExhausted`.
+    /// Fail parallel fan-out before any worker starts (index = morsel
+    /// count). Surfaces as `StorageError::ResourceExhausted`.
     WorkerSpawn,
     /// Sleep `delay_us` before scanning a morsel — stretches scans to
     /// exercise cancellation latency and queue backpressure.

@@ -62,7 +62,7 @@ pub use column::{
     IntColumn,
 };
 pub use db::{Database, DynDatabase, EngineSnapshot};
-pub use exec::{GroupStrategy, MorselMetrics, ParallelConfig, SchedulingMode};
+pub use exec::{GroupStrategy, MorselMetrics, ParallelConfig};
 pub use fault::{FaultPoint, FaultSpec};
 pub use json::{Json, JsonError};
 pub use lifecycle::{CancelReason, QueryCtx, QueryCtxStats};
@@ -100,7 +100,7 @@ mod engine_equivalence {
                 Value::str(format!("loc{l}")),
                 // Exact dyadic measures: float sums stay associative, so
                 // bit-for-bit equality holds across engines regardless of
-                // how each one shards its scan (the CI scheduling matrix
+                // how each one splits its scan (the CI scheduling matrix
                 // forces parallel routing even on these tiny tables).
                 Value::Float(s as f64 * 0.25),
             ])

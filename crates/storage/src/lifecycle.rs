@@ -13,8 +13,8 @@
 //! * the **morsel claim loop** checks between claims (the scheduler's
 //!   built-in cancellation point: a worker that sees the flag simply
 //!   stops claiming),
-//! * the **serial** and **static-shard** scans check between chunks
-//!   ([`crate::exec::CHUNK_ROWS`] rows).
+//! * the **serial** scan, and the scan inside a claimed morsel, check
+//!   between chunks ([`crate::exec::CHUNK_ROWS`] rows).
 //!
 //! A cancelled query returns [`StorageError::Cancelled`] and its partial
 //! result is discarded *before* the result cache ever sees it — the

@@ -1,6 +1,6 @@
 //! The shared execution pool: scoped-thread fan-out used by both the
-//! sharded aggregation kernel ([`crate::exec::aggregate_parallel`]) and
-//! batched request execution ([`crate::db::Database::run_request`]).
+//! morsel-claiming aggregation kernel ([`crate::exec::aggregate_morsel`])
+//! and batched request execution ([`crate::db::Database::run_request`]).
 //!
 //! There is deliberately no long-lived thread-pool object: workers are
 //! `std::thread::scope` threads spawned per fan-out, which keeps every
@@ -10,7 +10,7 @@
 //! `ParallelConfig::min_parallel_rows`).
 //!
 //! **Nesting guard.** A ZQL flush can fan out across queries *and* each
-//! query could fan out across row shards. To avoid `P × P`
+//! query could fan out across row morsels. To avoid `P × P`
 //! oversubscription, workers run with a thread-local `IN_POOL` flag set;
 //! [`effective_threads`] reports `1` inside a worker, so whichever layer
 //! fans out first claims the hardware and inner layers run serially.
@@ -131,43 +131,9 @@ where
     }
 }
 
-/// Split `n` items into at most `parts` contiguous, near-equal ranges.
-/// Deterministic: the same `(n, parts)` always yields the same split,
-/// which keeps parallel float accumulation reproducible run-to-run.
-pub fn split_ranges(n: usize, parts: usize) -> Vec<(usize, usize)> {
-    let parts = parts.max(1).min(n.max(1));
-    let base = n / parts;
-    let extra = n % parts;
-    let mut out = Vec::with_capacity(parts);
-    let mut start = 0;
-    for i in 0..parts {
-        let len = base + usize::from(i < extra);
-        out.push((start, start + len));
-        start += len;
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn split_ranges_covers_everything() {
-        for n in [0usize, 1, 7, 100, 4097] {
-            for parts in [1usize, 2, 3, 8, 64] {
-                let ranges = split_ranges(n, parts);
-                assert!(ranges.len() <= parts.max(1));
-                let mut expect = 0;
-                for &(s, e) in &ranges {
-                    assert_eq!(s, expect);
-                    assert!(e >= s);
-                    expect = e;
-                }
-                assert_eq!(expect, n);
-            }
-        }
-    }
 
     #[test]
     fn parallel_map_preserves_order_and_errors() {

@@ -32,8 +32,8 @@ pub struct ScanDbConfig {
     pub dense_group_limit: u128,
     /// Simulated round-trip latency per request.
     pub request_overhead: Duration,
-    /// Parallel-scan tuning (thread count, serial threshold, scheduling
-    /// mode). The default consults the `ZV_SCHED_*` environment
+    /// Parallel-scan tuning (thread count, serial threshold, morsel
+    /// size). The default consults the `ZV_SCHED_*` environment
     /// overrides ([`exec::ParallelConfig::from_env`]) so CI can force a
     /// scheduling configuration across whole test suites.
     pub parallel: exec::ParallelConfig,

@@ -97,14 +97,13 @@ pub enum StorageError {
     /// scheduler's `catch_unwind` boundary: siblings stopped claiming,
     /// partial accumulators were dropped before the merge, and nothing
     /// reached the result cache. `morsel` is the lowest-indexed morsel
-    /// (or static shard) whose scan panicked; `payload` is the panic
-    /// message. Transient: `zv-server`'s retry policy may re-run the
-    /// query (parallel again, then serial).
+    /// whose scan panicked; `payload` is the panic message. Transient:
+    /// `zv-server`'s retry policy may re-run the query (parallel again,
+    /// then serial).
     WorkerPanicked {
         /// Stringified panic payload of the first failing worker.
         payload: String,
-        /// Morsel index (morsel scheduling) or shard index (static
-        /// scheduling) whose scan panicked.
+        /// Index of the morsel whose scan panicked.
         morsel: u64,
     },
     /// A transient resource failure — e.g. worker fan-out could not

@@ -51,14 +51,13 @@ fn serial() -> ParallelConfig {
     }
 }
 
-fn sharded() -> ParallelConfig {
+fn morsel() -> ParallelConfig {
     ParallelConfig {
         threads: 4,
         min_parallel_rows: 0,
         // Tiny morsels: the proptest tables are < MORSEL_ROWS rows, and
         // the default morsel size would silently degrade this fixture's
-        // scans to the serial fallback (losing the real-fan-out coverage
-        // this suite had when sharding was static).
+        // scans to the serial fallback.
         morsel_rows: 64,
         ..Default::default()
     }
@@ -71,7 +70,7 @@ fn sharded() -> ParallelConfig {
 /// tests assert warm-hit bookkeeping, not admission policy.
 fn engine_pairs(table: &Arc<Table>) -> Vec<(String, DynDatabase, DynDatabase)> {
     let mut out: Vec<(String, DynDatabase, DynDatabase)> = Vec::new();
-    for (routing, parallel) in [("serial", serial()), ("parallel", sharded())] {
+    for (routing, parallel) in [("serial", serial()), ("parallel", morsel())] {
         out.push((
             format!("bitmap/{routing}"),
             Arc::new(BitmapDb::with_config(

@@ -17,8 +17,7 @@ use zv_storage::cache::CacheStats;
 use zv_storage::exec::ParallelConfig;
 use zv_storage::{
     BitmapDb, BitmapDbConfig, CacheConfig, CancelReason, Column, DataType, Database, Field,
-    QueryCtx, ScanDb, ScanDbConfig, SchedulingMode, Schema, StorageError, Table, TableBuilder,
-    Value, XSpec, YSpec,
+    QueryCtx, ScanDb, ScanDbConfig, Schema, StorageError, Table, TableBuilder, Value, XSpec, YSpec,
 };
 use zv_storage::{Predicate, SelectQuery};
 
@@ -67,7 +66,6 @@ fn morsel_scan_cancelled_mid_flight_stops_early() {
             parallel: ParallelConfig {
                 threads: 2,
                 min_parallel_rows: 0,
-                sched: SchedulingMode::Morsel,
                 ..Default::default()
             },
             cache: CacheConfig::admit_all(),
@@ -133,48 +131,29 @@ fn morsel_scan_cancelled_mid_flight_stops_early() {
     assert_eq!(real_delta.rows_scanned, MILLION as u64);
 }
 
-/// Serial and static schedulers observe the ctx between chunks.
+/// The serial scan observes the ctx between chunks.
 #[test]
-fn serial_and_static_scans_cancel_between_chunks() {
-    let table = million_row_table();
-    let configs = [
-        (
-            "serial",
-            ParallelConfig {
+fn serial_scan_cancels_between_chunks() {
+    let db = ScanDb::with_config(
+        million_row_table(),
+        ScanDbConfig {
+            parallel: ParallelConfig {
                 threads: 1,
-                min_parallel_rows: usize::MAX,
                 ..Default::default()
             },
-        ),
-        (
-            "static",
-            ParallelConfig {
-                threads: 2,
-                min_parallel_rows: 0,
-                sched: SchedulingMode::Static,
-                ..Default::default()
-            },
-        ),
-    ];
-    for (name, parallel) in configs {
-        let db = ScanDb::with_config(
-            table.clone(),
-            ScanDbConfig {
-                parallel,
-                ..Default::default()
-            },
-        );
-        let ctx = QueryCtx::new().with_row_budget(50_000);
-        let err = db.execute_ctx(&groupby(), &ctx).expect_err(name);
-        assert_eq!(err, StorageError::Cancelled, "{name}");
-        let progress = ctx.stats();
-        assert!(
-            progress.rows_scanned < MILLION as u64,
-            "{name} stopped early ({} rows)",
-            progress.rows_scanned
-        );
-        assert_eq!(db.stats().snapshot().queries_cancelled, 1, "{name}");
-    }
+            ..Default::default()
+        },
+    );
+    let ctx = QueryCtx::new().with_row_budget(50_000);
+    let err = db.execute_ctx(&groupby(), &ctx).unwrap_err();
+    assert_eq!(err, StorageError::Cancelled);
+    let progress = ctx.stats();
+    assert!(
+        progress.rows_scanned < MILLION as u64,
+        "serial scan stopped early ({} rows)",
+        progress.rows_scanned
+    );
+    assert_eq!(db.stats().snapshot().queries_cancelled, 1);
 }
 
 /// Whatever scheduling the environment forces (CI's matrix runs this

@@ -31,7 +31,7 @@ use zv_storage::exec::ParallelConfig;
 use zv_storage::fault::{self, FaultPoint, FaultSpec, PANIC_MARKER};
 use zv_storage::{
     BitmapDb, BitmapDbConfig, CacheConfig, Column, DataType, Database, Field, QueryCtx, ScanDb,
-    ScanDbConfig, SchedulingMode, Schema, SelectQuery, StorageError, Table, XSpec, YSpec,
+    ScanDbConfig, Schema, SelectQuery, StorageError, Table, XSpec, YSpec,
 };
 
 const MILLION: usize = 1_000_000;
@@ -108,10 +108,8 @@ fn chaos_parallel(spec: FaultSpec, threads: usize, morsel_rows: usize) -> Parall
     ParallelConfig {
         threads,
         min_parallel_rows: 0,
-        sched: SchedulingMode::Morsel,
         morsel_rows,
         fault: spec,
-        ..Default::default()
     }
 }
 
@@ -487,7 +485,6 @@ fn cancellation_is_observed_inside_a_claimed_morsel() {
             parallel: ParallelConfig {
                 threads: 2,
                 min_parallel_rows: 0,
-                sched: SchedulingMode::Morsel,
                 morsel_rows: 500_000,
                 ..Default::default()
             },

@@ -28,8 +28,8 @@ use zv_storage::exec::ParallelConfig;
 use zv_storage::fault::{self, FaultPoint, FaultSpec, PANIC_MARKER};
 use zv_storage::{
     Agg, Atom, BitmapDb, BitmapDbConfig, CmpOp, DataType, Database, DynDatabase, Field, Predicate,
-    QueryCtx, ScanDb, ScanDbConfig, SchedulingMode, Schema, SelectQuery, StorageError, Table,
-    TableBuilder, Value, XSpec, YSpec,
+    QueryCtx, ScanDb, ScanDbConfig, Schema, SelectQuery, StorageError, Table, TableBuilder, Value,
+    XSpec, YSpec,
 };
 
 /// One run of identical rows. Runs are what make the generated data
@@ -78,16 +78,14 @@ fn serial() -> ParallelConfig {
     }
 }
 
-fn sharded() -> ParallelConfig {
+fn morsel() -> ParallelConfig {
     ParallelConfig {
         threads: 4,
         min_parallel_rows: 0,
         // Tiny morsels so small proptest tables still fan out; 64 also
         // aligns morsel boundaries with force-mode chunk seams.
         morsel_rows: 64,
-        sched: SchedulingMode::Morsel,
         fault: FaultSpec::disabled(),
-        ..Default::default()
     }
 }
 
@@ -113,7 +111,7 @@ fn make(engine: &str, table: Arc<Table>, parallel: ParallelConfig) -> DynDatabas
 fn matrix() -> Vec<(String, &'static str, ParallelConfig)> {
     let mut out = Vec::new();
     for engine in ["bitmap", "scan"] {
-        for (routing, parallel) in [("serial", serial()), ("morsel", sharded())] {
+        for (routing, parallel) in [("serial", serial()), ("morsel", morsel())] {
             out.push((format!("{engine}/{routing}"), engine, parallel));
         }
     }
@@ -335,10 +333,8 @@ fn chunk_scan_panics_over_packed_chunks_recover_to_plain_result() {
             parallel: ParallelConfig {
                 threads: 4,
                 min_parallel_rows: 0,
-                sched: SchedulingMode::Morsel,
                 morsel_rows,
                 fault: spec,
-                ..Default::default()
             },
             ..ScanDbConfig::uncached()
         },

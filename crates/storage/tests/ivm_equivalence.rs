@@ -65,7 +65,7 @@ fn serial() -> ParallelConfig {
     }
 }
 
-fn sharded() -> ParallelConfig {
+fn morsel() -> ParallelConfig {
     ParallelConfig {
         threads: 4,
         min_parallel_rows: 0,
@@ -73,7 +73,6 @@ fn sharded() -> ParallelConfig {
         // threads instead of degrading to the serial fallback.
         morsel_rows: 64,
         fault: zv_storage::FaultSpec::disabled(),
-        ..Default::default()
     }
 }
 
@@ -119,7 +118,7 @@ fn make(engine: &str, table: Arc<Table>, parallel: ParallelConfig, cached: bool)
 fn matrix() -> Vec<(String, &'static str, ParallelConfig)> {
     let mut out = Vec::new();
     for engine in ["bitmap", "scan"] {
-        for (routing, parallel) in [("serial", serial()), ("morsel", sharded())] {
+        for (routing, parallel) in [("serial", serial()), ("morsel", morsel())] {
             out.push((format!("{engine}/{routing}"), engine, parallel));
         }
     }

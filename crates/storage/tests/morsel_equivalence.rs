@@ -1,49 +1,73 @@
-//! Morsel ≡ static ≡ serial equivalence under *skewed* predicates — the
-//! workload morsel claiming exists for: a selective filter whose matching
-//! rows cluster in one region of the table, so a static contiguous split
-//! strands all the accumulation work on one worker.
+//! Morsel ≡ serial equivalence: the morsel-claiming parallel scan
+//! (`aggregate_morsel`) must produce the *identical* `ResultTable` (same
+//! groups, same ordering, same values) and the same scanned count as the
+//! serial `aggregate`, across Dense/Hash strategies, every row-source
+//! shape, every `Agg` variant (including Min/Max), zero to two Z
+//! columns, assorted thread counts and morsel sizes — and under *skewed*
+//! predicates, the workload morsel claiming exists for: a selective
+//! filter whose matching rows cluster in one region of the table, so a
+//! contiguous per-worker split would strand all the accumulation work on
+//! one worker.
 //!
 //! Measure values are exact dyadic rationals (multiples of 0.25 well
 //! below 2⁵³), so float sums are associative on this data and bit-for-bit
 //! equality against the serial scan is the correct assertion. A separate
-//! suite asserts thread-count-independent determinism on *inexact* data,
-//! which only the morsel merge guarantees (its reduction order is fixed
-//! by morsel index, not by claim timing).
+//! proptest asserts thread-count-independent determinism on *inexact*
+//! data (the reduction order is fixed by morsel index, not by claim
+//! timing).
 
 use proptest::prelude::*;
-use zv_storage::exec::{
-    aggregate, aggregate_morsel, aggregate_morsel_sized, aggregate_parallel, compile_pred,
-    GroupStrategy, RowSource,
-};
+use zv_storage::exec::{aggregate, aggregate_morsel, compile_pred, GroupStrategy, RowSource};
 use zv_storage::{
     Agg, Atom, BitmapDb, BitmapDbConfig, CmpOp, DataType, Database, Field, ParallelConfig,
-    Predicate, RoaringBitmap, ScanDb, ScanDbConfig, SchedulingMode, Schema, SelectQuery, Table,
-    TableBuilder, Value, XSpec, YSpec,
+    Predicate, RoaringBitmap, ScanDb, ScanDbConfig, Schema, SelectQuery, Table, TableBuilder,
+    Value, XSpec, YSpec,
 };
+
+fn schema(region: bool) -> Schema {
+    let mut fields = vec![
+        Field::new("year", DataType::Int),
+        Field::new("product", DataType::Cat),
+        Field::new("location", DataType::Cat),
+        Field::new("sales", DataType::Float),
+        Field::new("units", DataType::Int),
+    ];
+    if region {
+        fields.push(Field::new("region", DataType::Int));
+    }
+    Schema::new(fields)
+}
+
+fn row(year: i64, p: u8, l: u8, s: i64) -> Vec<Value> {
+    vec![
+        Value::Int(year),
+        Value::str(format!("p{p}")),
+        Value::str(format!("loc{l}")),
+        Value::Float(s as f64 * 0.25), // exactly representable
+        Value::Int(s),
+    ]
+}
+
+fn build_table(rows: &[(i64, u8, u8, i16)]) -> Table {
+    let mut b = TableBuilder::new(schema(false));
+    for &(y, p, l, s) in rows {
+        b.push_row(row(y, p, l, s as i64)).unwrap();
+    }
+    b.finish()
+}
 
 /// `rows` rows whose `region` column marks position in the table (8
 /// equal stripes), so `region == k` predicates cluster their matches —
 /// the skew shape. Measures are exactly representable.
 fn clustered_table(rows: usize, products: u8) -> Table {
-    let schema = Schema::new(vec![
-        Field::new("region", DataType::Int),
-        Field::new("year", DataType::Int),
-        Field::new("product", DataType::Cat),
-        Field::new("sales", DataType::Float),
-        Field::new("units", DataType::Int),
-    ]);
     let stripe = rows.div_ceil(8).max(1);
-    let mut b = TableBuilder::new(schema);
+    let mut b = TableBuilder::new(schema(true));
     for i in 0..rows {
         let s = ((i * 37) % 801) as i64 - 400;
-        b.push_row(vec![
-            Value::Int((i / stripe) as i64),
-            Value::Int(2010 + (i % 7) as i64),
-            Value::str(format!("p{}", (i % products.max(1) as usize))),
-            Value::Float(s as f64 * 0.25),
-            Value::Int(s),
-        ])
-        .unwrap();
+        let p = (i % products.max(1) as usize) as u8;
+        let mut r = row(2010 + (i % 7) as i64, p, (i % 3) as u8, s);
+        r.push(Value::Int((i / stripe) as i64));
+        b.push_row(r).unwrap();
     }
     b.finish()
 }
@@ -62,32 +86,25 @@ fn all_agg_query() -> SelectQuery {
     )
 }
 
-/// Serial, static×t, and morsel×t (tiny morsels, so even proptest-sized
-/// tables fan out across many claims) must agree bit-for-bit.
-fn assert_scheduling_equivalent<'t>(
+/// Serial and morsel×threads (tiny morsels, so even proptest-sized
+/// tables fan out across many claims) must agree bit-for-bit, and Dense
+/// and Hash must agree with each other. The source is rebuilt per run
+/// because `RowSource` borrows the table.
+fn assert_equivalent<'t>(
     table: &'t Table,
     query: &SelectQuery,
     make_source: impl Fn() -> RowSource<'t>,
 ) {
+    let (dense, _) = aggregate(table, query, &make_source(), GroupStrategy::Dense).expect("dense");
     for strategy in [GroupStrategy::Dense, GroupStrategy::Hash] {
         let (serial, serial_scanned) =
             aggregate(table, query, &make_source(), strategy).expect("serial");
+        assert_eq!(serial, dense, "strategies disagree");
         for threads in [2usize, 3, 8] {
-            let (stat, stat_scanned) =
-                aggregate_parallel(table, query, &make_source(), strategy, threads)
-                    .expect("static");
-            assert_eq!(stat, serial, "static({threads}) differs under {strategy:?}");
-            assert_eq!(stat_scanned, serial_scanned);
             for morsel_rows in [64usize, 257] {
-                let (mor, mor_scanned, _) = aggregate_morsel_sized(
-                    table,
-                    query,
-                    &make_source(),
-                    strategy,
-                    threads,
-                    morsel_rows,
-                )
-                .expect("morsel");
+                let (mor, mor_scanned, _) =
+                    aggregate_morsel(table, query, &make_source(), strategy, threads, morsel_rows)
+                        .expect("morsel");
                 assert_eq!(
                     mor, serial,
                     "morsel({threads}, {morsel_rows}) differs under {strategy:?}"
@@ -98,8 +115,12 @@ fn assert_scheduling_equivalent<'t>(
     }
 }
 
+fn arb_rows() -> impl Strategy<Value = Vec<(i64, u8, u8, i16)>> {
+    prop::collection::vec((2010i64..2020, 0u8..6, 0u8..3, -400i16..400), 1..600)
+}
+
 fn arb_query() -> impl Strategy<Value = SelectQuery> {
-    (0u8..2, any::<bool>()).prop_map(|(z, binned)| {
+    (0u8..4, any::<bool>()).prop_map(|(zs, binned)| {
         let x = if binned {
             XSpec::binned("year", 3.0)
         } else {
@@ -109,15 +130,63 @@ fn arb_query() -> impl Strategy<Value = SelectQuery> {
             x,
             ..all_agg_query()
         };
-        if z == 1 {
+        if zs & 1 != 0 {
             q = q.with_z("product");
+        }
+        if zs & 2 != 0 {
+            q = q.with_z("location");
         }
         q
     })
 }
 
 proptest! {
-    #![proptest_config(ProptestConfig::with_cases(32))]
+    #![proptest_config(ProptestConfig::with_cases(48))]
+
+    #[test]
+    fn full_scan_sources(rows in arb_rows(), query in arb_query()) {
+        let table = build_table(&rows);
+        assert_equivalent(&table, &query, || RowSource::All(table.num_rows()));
+    }
+
+    #[test]
+    fn filtered_sources(rows in arb_rows(), query in arb_query(), p in 0u8..8, t in -50i32..50) {
+        let table = build_table(&rows);
+        let pred = Predicate::cat_eq("product", format!("p{p}")).and(Predicate::atom(
+            Atom::NumCmp { col: "sales".into(), op: CmpOp::Gt, value: t as f64 },
+        ));
+        let make = || RowSource::Filtered {
+            n_rows: table.num_rows(),
+            pred: compile_pred(&table, &pred).unwrap(),
+        };
+        assert_equivalent(&table, &query, make);
+    }
+
+    #[test]
+    fn bitmap_sources(rows in arb_rows(), query in arb_query(), stride in 1u32..5) {
+        let table = build_table(&rows);
+        // Every stride-th row, so morsel boundaries rarely align with
+        // bitmap container boundaries.
+        let bm: RoaringBitmap =
+            (0..table.num_rows() as u32).filter(|r| r % stride == 0).collect();
+        assert_equivalent(&table, &query, || RowSource::Bitmap(bm.clone()));
+    }
+
+    #[test]
+    fn bitmap_filtered_sources(rows in arb_rows(), query in arb_query(), t in -50i32..50) {
+        let table = build_table(&rows);
+        let bm: RoaringBitmap = (0..table.num_rows() as u32).filter(|r| r % 2 == 0).collect();
+        let residual = Predicate::atom(Atom::NumCmp {
+            col: "sales".into(),
+            op: CmpOp::Ge,
+            value: t as f64 * 0.25,
+        });
+        let make = || RowSource::BitmapFiltered {
+            rows: bm.clone(),
+            pred: compile_pred(&table, &residual).unwrap(),
+        };
+        assert_equivalent(&table, &query, make);
+    }
 
     /// Skewed filtered scans: all matches cluster in one of 8 stripes.
     #[test]
@@ -133,7 +202,7 @@ proptest! {
             n_rows: table.num_rows(),
             pred: compile_pred(&table, &pred).unwrap(),
         };
-        assert_scheduling_equivalent(&table, &query, make);
+        assert_equivalent(&table, &query, make);
     }
 
     /// Skew composed with a residual numeric filter.
@@ -154,17 +223,39 @@ proptest! {
             n_rows: table.num_rows(),
             pred: compile_pred(&table, &pred).unwrap(),
         };
-        assert_scheduling_equivalent(&table, &query, make);
+        assert_equivalent(&table, &query, make);
     }
 
-    /// Uniform (unfiltered and bitmap) sources stay equivalent too.
+    /// End-to-end: an engine configured to always fan out over tiny
+    /// morsels must match an engine that never does, query for query.
     #[test]
-    fn uniform_sources(rows in 1usize..1200, stride in 1u32..5, query in arb_query()) {
-        let table = clustered_table(rows, 4);
-        assert_scheduling_equivalent(&table, &query, || RowSource::All(table.num_rows()));
-        let bm: RoaringBitmap =
-            (0..table.num_rows() as u32).filter(|r| r % stride == 0).collect();
-        assert_scheduling_equivalent(&table, &query, || RowSource::Bitmap(bm.clone()));
+    fn engine_level_equivalence(rows in arb_rows(), query in arb_query(), p in 0u8..8) {
+        let table = std::sync::Arc::new(build_table(&rows));
+        let serial = BitmapDb::with_config(
+            table.clone(),
+            BitmapDbConfig {
+                parallel: ParallelConfig { threads: 1, ..Default::default() },
+                ..Default::default()
+            },
+        );
+        let parallel = BitmapDb::with_config(
+            table.clone(),
+            BitmapDbConfig {
+                // Tiny morsels: proptest tables are far below the default
+                // morsel size, which would silently serialize this engine.
+                parallel: ParallelConfig {
+                    threads: 4,
+                    min_parallel_rows: 0,
+                    morsel_rows: 64,
+                    ..Default::default()
+                },
+                ..Default::default()
+            },
+        );
+        let q = query.with_predicate(Predicate::cat_eq("product", format!("p{p}")));
+        prop_assert_eq!(serial.execute(&q).unwrap(), parallel.execute(&q).unwrap());
+        let open = all_agg_query();
+        prop_assert_eq!(serial.execute(&open).unwrap(), parallel.execute(&open).unwrap());
     }
 
     /// Morsel float sums must be bit-for-bit identical across thread
@@ -192,10 +283,8 @@ proptest! {
         let q = SelectQuery::new(XSpec::raw("key"), vec![YSpec::sum("val"), YSpec::avg("val")]);
         let src = RowSource::All(table.num_rows());
         for strategy in [GroupStrategy::Dense, GroupStrategy::Hash] {
-            let (a, _, _) =
-                aggregate_morsel_sized(&table, &q, &src, strategy, threads_a, 64).unwrap();
-            let (b, _, _) =
-                aggregate_morsel_sized(&table, &q, &src, strategy, threads_b, 64).unwrap();
+            let (a, _, _) = aggregate_morsel(&table, &q, &src, strategy, threads_a, 64).unwrap();
+            let (b, _, _) = aggregate_morsel(&table, &q, &src, strategy, threads_b, 64).unwrap();
             prop_assert_eq!(a.groups.len(), b.groups.len());
             for (ga, gb) in a.groups.iter().zip(&b.groups) {
                 prop_assert_eq!(&ga.key, &gb.key);
@@ -219,27 +308,51 @@ proptest! {
     }
 }
 
-/// Engine-level: both engines forced into serial / static / morsel
-/// routing must agree query-for-query on a table large enough for real
-/// production-size morsels, with the matches clustered in one stripe.
+/// Morsel boundaries at 10k rows with two Z columns: multi-chunk morsels
+/// (chunk size is 4096) and more morsels than workers, with every thread
+/// count from 1 to 9.
 #[test]
-fn engines_agree_across_scheduling_modes_under_skew() {
+fn many_rows_many_threads() {
+    let rows: Vec<(i64, u8, u8, i16)> = (0..10_000)
+        .map(|i| {
+            (
+                2010 + (i % 7) as i64,
+                (i % 5) as u8,
+                (i % 3) as u8,
+                ((i * 37 % 801) as i16) - 400,
+            )
+        })
+        .collect();
+    let table = build_table(&rows);
+    let query = all_agg_query().with_z("product").with_z("location");
+    let src = RowSource::All(table.num_rows());
+    for strategy in [GroupStrategy::Dense, GroupStrategy::Hash] {
+        let (serial, scanned) = aggregate(&table, &query, &src, strategy).unwrap();
+        assert_eq!(scanned, 10_000);
+        for threads in 1..=9 {
+            for morsel_rows in [1_000, 5_000] {
+                let (par, par_scanned, _) =
+                    aggregate_morsel(&table, &query, &src, strategy, threads, morsel_rows).unwrap();
+                assert_eq!(par, serial, "{strategy:?} × {threads} × {morsel_rows}");
+                assert_eq!(par_scanned, 10_000);
+            }
+        }
+    }
+}
+
+/// Engine-level: both engines, serial and morsel-parallel, must agree
+/// query-for-query on a table large enough for real production-size
+/// morsels, with the matches clustered in one stripe.
+#[test]
+fn engines_agree_serial_and_morsel_under_skew() {
     let table = std::sync::Arc::new(clustered_table(40_000, 5));
     let serial = ParallelConfig {
         threads: 1,
-        min_parallel_rows: usize::MAX,
-        ..Default::default()
-    };
-    let stat = ParallelConfig {
-        threads: 4,
-        min_parallel_rows: 0,
-        sched: SchedulingMode::Static,
         ..Default::default()
     };
     let morsel = ParallelConfig {
         threads: 4,
         min_parallel_rows: 0,
-        sched: SchedulingMode::Morsel,
         ..Default::default()
     };
 
@@ -273,10 +386,8 @@ fn engines_agree_across_scheduling_modes_under_skew() {
 
     let reference = bitmap(serial);
     let engines: Vec<(&str, Box<dyn Database>)> = vec![
-        ("bitmap/static", Box::new(bitmap(stat))),
         ("bitmap/morsel", Box::new(bitmap(morsel))),
         ("scan/serial", Box::new(scan(serial))),
-        ("scan/static", Box::new(scan(stat))),
         ("scan/morsel", Box::new(scan(morsel))),
     ];
     for q in &queries {
@@ -299,35 +410,8 @@ fn engines_agree_across_scheduling_modes_under_skew() {
     }
 }
 
-/// The `ZV_SCHED_*` overrides the CI scheduling matrix uses must produce
-/// the configs the matrix names (spec-level: the env-reading wrapper is
-/// a two-line `std::env::var` shim over this).
-#[test]
-fn scheduling_matrix_env_specs() {
-    let serial = ParallelConfig::from_env_spec(Some("serial"), None, None, None, None);
-    assert_eq!(serial.threads_for(usize::MAX - 1), 1);
-    for (mode, sched) in [
-        ("static", SchedulingMode::Static),
-        ("morsel", SchedulingMode::Morsel),
-    ] {
-        // The matrix combines a forced scheduler with ZV_SCHED_MIN_ROWS=0
-        // (tiny scans go parallel) and ZV_SCHED_MORSEL_ROWS=256 (tiny
-        // tables still split into many claimable morsels).
-        let cfg =
-            ParallelConfig::from_env_spec(Some(mode), Some("2"), Some("0"), Some("256"), None);
-        assert_eq!(cfg.sched, sched);
-        assert_eq!(cfg.threads, 2);
-        assert_eq!(cfg.morsel_rows, 256);
-        assert_eq!(
-            cfg.threads_for(1),
-            2,
-            "forced modes must fan out tiny scans"
-        );
-    }
-}
-
-/// Full-size morsels on a multi-morsel table (no size hook): the
-/// production path end to end.
+/// Full-size morsels on a multi-morsel table: the production path end
+/// to end.
 #[test]
 fn production_morsel_size_multi_morsel_scan() {
     let table = clustered_table(40_000, 5);
@@ -335,46 +419,12 @@ fn production_morsel_size_multi_morsel_scan() {
     let src = RowSource::All(table.num_rows());
     for strategy in [GroupStrategy::Dense, GroupStrategy::Hash] {
         let (serial, scanned) = aggregate(&table, &q, &src, strategy).unwrap();
-        let (mor, mor_scanned, metrics) = aggregate_morsel(&table, &q, &src, strategy, 3).unwrap();
+        let (mor, mor_scanned, metrics) =
+            aggregate_morsel(&table, &q, &src, strategy, 3, zv_storage::exec::MORSEL_ROWS).unwrap();
         assert_eq!(mor, serial);
         assert_eq!(mor_scanned, scanned);
         let m = metrics.expect("40k rows spans 3 production morsels");
         assert_eq!(m.morsels, 3);
         assert_eq!(m.per_worker.iter().sum::<u64>(), 3);
-    }
-}
-
-/// Batched claiming (`claim_batch > 1`) must be invisible to results:
-/// partials stay tagged per morsel, so every batch size × thread count
-/// reproduces the unbatched morsel run bit-for-bit — inexact floats
-/// included — while claim telemetry still accounts for every morsel.
-#[test]
-fn claim_batching_preserves_ordered_merge_determinism() {
-    use zv_storage::exec::aggregate_morsel_ctx;
-    use zv_storage::QueryCtx;
-
-    let table = clustered_table(9_000, 5);
-    let q = all_agg_query().with_z("product");
-    let src = RowSource::All(table.num_rows());
-    for strategy in [GroupStrategy::Dense, GroupStrategy::Hash] {
-        let (reference, scanned, _) =
-            aggregate_morsel_sized(&table, &q, &src, strategy, 2, 256).unwrap();
-        for batch in [2usize, 5, 1024] {
-            for threads in [2usize, 3, 7] {
-                let ctx = QueryCtx::new();
-                let (rt, b_scanned, metrics) =
-                    aggregate_morsel_ctx(&table, &q, &src, strategy, threads, 256, batch, &ctx)
-                        .unwrap();
-                assert_eq!(
-                    rt, reference,
-                    "batch {batch} × {threads} threads diverged under {strategy:?}"
-                );
-                assert_eq!(b_scanned, scanned);
-                let m = metrics.expect("multi-morsel scan reports telemetry");
-                assert_eq!(m.morsels, 9_000u64.div_ceil(256));
-                assert_eq!(m.per_worker.iter().sum::<u64>(), m.morsels);
-                assert_eq!(ctx.stats().morsels_claimed, m.morsels);
-            }
-        }
     }
 }
