@@ -509,3 +509,78 @@ pub fn study8(scale: &Scale) -> String {
     }
     out
 }
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use zv_storage::{ParallelConfig, ScanDbConfig};
+
+    /// Figure 7.5's shape on rows touched rather than milliseconds: at
+    /// 10 % selectivity the bitmap engine visits exactly the rows its
+    /// index selects while the scan engine visits every row; at 100 %
+    /// both visit every row. Checked under a serial and a morsel-claimed
+    /// configuration, for a narrow and a wide group-by. 150 k rows span
+    /// three roaring containers (two bitmap, one array).
+    #[test]
+    fn fig7_5_rows_touched_follow_selectivity() {
+        let rows = 150_000;
+        let table = fig7_5_table(rows, 0xF75);
+        let p1 = table.column("p1").unwrap().as_cat().unwrap();
+        let p3 = p1.code_of("p3").unwrap();
+        let selected = (0..rows).filter(|&r| p1.codes().get(r) == p3).count() as u64;
+        assert!(
+            selected > rows as u64 / 20 && selected < rows as u64 / 5,
+            "p1 = 'p3' should select about 10 % of rows, got {selected}"
+        );
+        let configs = [
+            ParallelConfig {
+                threads: 1,
+                ..Default::default()
+            },
+            ParallelConfig {
+                threads: 2,
+                min_parallel_rows: 0,
+                morsel_rows: 4096,
+                ..Default::default()
+            },
+        ];
+        for parallel in configs {
+            let bitmap = BitmapDb::with_config(
+                table.clone(),
+                BitmapDbConfig {
+                    parallel,
+                    ..BitmapDbConfig::uncached()
+                },
+            );
+            let scan = ScanDb::with_config(
+                table.clone(),
+                ScanDbConfig {
+                    parallel,
+                    ..ScanDbConfig::uncached()
+                },
+            );
+            for z in ["g20", "g100000"] {
+                let all = SelectQuery::new(XSpec::raw("x2"), vec![YSpec::sum("m")]).with_z(z);
+                let tenth = all.clone().with_predicate(Predicate::cat_eq("p1", "p3"));
+                for (q, bitmap_rows, scan_rows) in [
+                    (&tenth, selected, rows as u64),
+                    (&all, rows as u64, rows as u64),
+                ] {
+                    for (label, db, want) in [
+                        ("bitmap", &bitmap as &dyn Database, bitmap_rows),
+                        ("scan", &scan as &dyn Database, scan_rows),
+                    ] {
+                        let before = db.stats().snapshot().rows_scanned;
+                        db.execute(q).unwrap();
+                        let touched = db.stats().snapshot().rows_scanned - before;
+                        assert_eq!(
+                            touched, want,
+                            "{label} rows touched, threads {}, z {z}, pred {:?}",
+                            parallel.threads, q.predicate
+                        );
+                    }
+                }
+            }
+        }
+    }
+}
