@@ -46,7 +46,7 @@ pub struct BitmapDbConfig {
     /// observed "as the number of groups increases" (Figure 7.5a).
     pub dense_group_limit: u128,
     /// Simulated client↔server round-trip latency added per request
-    /// (substitution for the paper's networked PostgreSQL; see DESIGN.md).
+    /// (a stand-in for the paper's networked PostgreSQL).
     pub request_overhead: Duration,
     /// Run-optimize indexes after build (RLE compression).
     pub run_optimize: bool,

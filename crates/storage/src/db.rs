@@ -51,7 +51,7 @@ pub trait EngineSnapshot: Send + Sync {
     /// state, returning the result and the number of rows scanned (the
     /// result's recompute cost, which drives cache admission). The
     /// query's [`QueryCtx`] is observed at the scan's cancellation
-    /// points (between morsel claims / between chunks); a cancelled
+    /// points (between morsel claims / between scan windows); a cancelled
     /// query returns [`StorageError::Cancelled`] and discards its
     /// partial state.
     fn execute(
@@ -259,8 +259,8 @@ pub trait Database: Send + Sync {
         ))
     }
 
-    /// Simulated round-trip latency per batched request (DESIGN.md
-    /// substitution 2). Zero by default.
+    /// Simulated round-trip latency per batched request, standing in
+    /// for the paper's client↔PostgreSQL round trip. Zero by default.
     fn request_overhead(&self) -> Duration {
         Duration::ZERO
     }

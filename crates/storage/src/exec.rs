@@ -3,41 +3,52 @@
 //!
 //! Both backends reduce a [`SelectQuery`] to:
 //!
-//! 1. a row source (all rows / a roaring bitmap / a filtered scan),
+//! 1. a [`RowSource`] (all rows / a roaring bitmap / a filtered scan /
+//!    a bitmap plus a residual filter / a row interval),
 //! 2. a composite group key `(z₁, …, z_k, x)` encoded as a dense integer,
 //! 3. an accumulation pass (dense array or hash map, see
 //!    [`GroupStrategy`]), and
 //! 4. a finalize pass that decodes keys and sorts by `(key, x)` — the
 //!    `ORDER BY Z, X` of the canonical query.
 //!
-//! # Architecture: the chunk → morsel → ordered-merge pipeline
+//! # Architecture: the window → morsel → ordered-merge pipeline
 //!
-//! The accumulation pass is **chunk-at-a-time and schedulable** rather
-//! than row-at-a-time:
+//! Every row source is scanned by **one window loop**, and the
+//! accumulation pass is window-at-a-time and schedulable rather than
+//! row-at-a-time:
 //!
 //! ```text
-//!   RowSource ──▶ qualifying row-ids, CHUNK_ROWS at a time (reused buffer)
+//!   RowSource ──▶ windows of CHUNK_ROWS rows, one u64 mask bit per row:
+//!       │           source mask: all ones (All / Filtered / Range) or the
+//!       │                        roaring container's words (Bitmap /
+//!       │                        BitmapFiltered); a zero mask skips the
+//!       │                        window without touching a column
+//!       │           residual:    predicate atoms ANDed in word by word
+//!       │                        (`and_mask`), clear words skipped
+//!       │           set bits  ──▶ ascending row ids (reused buffer)
 //!       │
 //!       ├─ chunk codes:   for each dimension, a columnar pass adds
 //!       │                 `encode(row) · stride` into a reusable u64
-//!       │                 code buffer (one `match` per chunk per dim,
+//!       │                 code buffer (one `match` per window per dim,
 //!       │                 not one per row)
 //!       │
 //!       ├─ chunk update:  Dense  → acc[code] += y        (array index)
 //!       │                 Hash   → entry-API slot lookup (one probe),
-//!       │                          per-chunk capacity reservation
+//!       │                          per-window capacity reservation
 //!       │
-//!       ├─ morsels:       a parallel scan ([`aggregate_morsel`]) carves
-//!       │                 the source into fixed-size, chunk-aligned
-//!       │                 morsels of [`MORSEL_ROWS`] rows (row ranges, or
-//!       │                 slices of the materialized bitmap); workers
-//!       │                 *claim* morsels one at a time off a shared
+//!       ├─ morsels:       a parallel scan ([`aggregate_morsel`]) cuts
+//!       │                 the source's row span into morsels — every
+//!       │                 [`MORSEL_ROWS`] rows for range-shaped sources,
+//!       │                 at word boundaries after about [`MORSEL_ROWS`]
+//!       │                 members for bitmap sources — and workers
+//!       │                 *claim* them one at a time off a shared
 //!       │                 atomic cursor, so a worker that drew a cheap
 //!       │                 region simply claims more — skewed predicates
 //!       │                 cannot strand the scan behind one overloaded
-//!       │                 worker. Each claimed morsel is accumulated into
-//!       │                 a reusable per-worker accumulator and compacted
-//!       │                 into a partial *tagged by its morsel index*.
+//!       │                 worker. Each claimed morsel is scanned by the
+//!       │                 same window loop, accumulated into a reusable
+//!       │                 per-worker accumulator and compacted into a
+//!       │                 partial *tagged by its morsel index*.
 //!       │
 //!       └─ ordered merge: partials are sorted by morsel index and merged
 //!                         in that order — Dense by slot, Hash by
@@ -53,6 +64,12 @@
 //!                         representable (what the equivalence proptests
 //!                         assert on dyadic data).
 //! ```
+//!
+//! "Rows visited" — what `rows_scanned` counts and what a row budget
+//! spends — is the set bits of the source mask before the residual: the
+//! bitmap's members for bitmap sources, the span's rows otherwise. That
+//! is Figure 7.5's mechanism: a sparse bitmap skips windows and visits
+//! few rows, a dense one costs what a scan costs.
 //!
 //! Morsel claiming is the only parallel scan path. The serial scan
 //! ([`aggregate`]) is the reference every parallel result is checked
@@ -73,10 +90,11 @@
 //! * **morsel scheduling** — the claim loop checks the ctx *between
 //!   claims*: a worker that sees the flag stops claiming, the remaining
 //!   morsels are never scanned, and the count of abandoned morsels flows
-//!   into `ExecStats::morsels_cancelled`. With the default morsel size a
-//!   cancel is observed within ~16 K rows of scan work per worker.
-//! * **serial scans** — checked between chunks ([`CHUNK_ROWS`] visited
-//!   rows), so even a one-thread scan abandons work promptly.
+//!   into `ExecStats::morsels_cancelled`.
+//! * **windows** — the window loop checks the ctx before every window
+//!   (at most [`CHUNK_ROWS`] visited rows), inside a claimed morsel and
+//!   in a serial scan alike, so even a one-thread scan abandons work
+//!   promptly.
 //!
 //! A cancelled scan returns
 //! [`StorageError::Cancelled`](crate::table::StorageError)
@@ -84,7 +102,7 @@
 //! results **never** reach the merge, the caller, or the result cache
 //! (`run_request_ctx` only inserts results of scans that ran to
 //! completion). Deadlines are checked lazily at the same boundaries, so
-//! a deadline-expired query surfaces within one chunk or claim. Rows
+//! a deadline-expired query surfaces within one window or claim. Rows
 //! visited (including by abandoned partial scans) are recorded on the
 //! ctx as the scan progresses, which is also what arms the
 //! deterministic row-budget cancellation hook.
@@ -170,12 +188,11 @@ use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 // ---------------------------------------------------------------------
 
 /// A predicate atom specialized against concrete column storage, so the
-/// per-row check is branch-light (no string comparisons, no hash lookups).
-/// Atoms over encoded columns hold the chunked store itself: the per-row
-/// [`CAtom::eval`] decodes on demand, and the vectorized
-/// `CAtom::and_mask` path evaluates sealed chunks in place (RLE runs
-/// decided once per run, bit-packed lanes unpacked inside 64-lane word
-/// kernels) with per-chunk min/max short-circuits.
+/// check is branch-light (no string comparisons, no hash lookups). Atoms
+/// over encoded columns hold the chunked store itself: `CAtom::and_mask`
+/// evaluates a window's sealed chunks in place (RLE runs decided once
+/// per run, bit-packed lanes unpacked inside 64-lane word kernels) with
+/// per-chunk min/max short-circuits.
 pub enum CAtom<'a> {
     ConstBool(bool),
     CatEqCode {
@@ -214,23 +231,6 @@ pub enum CAtom<'a> {
 }
 
 impl CAtom<'_> {
-    #[inline]
-    pub fn eval(&self, row: usize) -> bool {
-        match self {
-            CAtom::ConstBool(b) => *b,
-            CAtom::CatEqCode { codes, code } => codes.get(row) == *code,
-            CAtom::CatNeqCode { codes, code } => codes.get(row) != *code,
-            CAtom::CatCodeSet { codes, member } => member[codes.get(row) as usize],
-            CAtom::NumCmpI { vals, op, value } => op.eval_f64(vals.get(row) as f64, *value),
-            CAtom::NumCmpF { vals, op, value } => op.eval_f64(vals[row], *value),
-            CAtom::BetweenI { vals, lo, hi } => {
-                let v = vals.get(row) as f64;
-                v >= *lo && v <= *hi
-            }
-            CAtom::BetweenF { vals, lo, hi } => vals[row] >= *lo && vals[row] <= *hi,
-        }
-    }
-
     /// AND this atom's truth over rows `start..end` into `mask` (bit `i`
     /// of `mask` ↔ row `start + i`). Sealed chunks are evaluated in
     /// place: chunk `(min, max)` stats decide whole chunks without
@@ -404,32 +404,41 @@ fn clear_bits(mask: &mut [u64], from: usize, len: usize) {
 /// AND a per-lane test over bits `p0..p0 + len` of `mask`. The aligned
 /// body builds each 64-bit verdict word in a branchless lane loop (the
 /// u64-wide kernel the scan path vectorizes on) and ANDs it in with one
-/// store; ragged edges go bit by bit. The test receives the lane index
+/// store; ragged edges go bit by bit. Words (and edge bits) already
+/// clear are skipped without running the test, so a sparse source mask
+/// pays only for the words it covers. The test receives the lane index
 /// relative to `p0`.
 #[inline]
 fn and_lanes(mask: &mut [u64], p0: usize, len: usize, mut test: impl FnMut(usize) -> bool) {
     let end = p0 + len;
     let mut p = p0;
     while p < end && (p & 63) != 0 {
-        if !test(p - p0) {
-            mask[p >> 6] &= !(1u64 << (p & 63));
-        }
+        and_bit(mask, p, |p| test(p - p0));
         p += 1;
     }
     while p + 64 <= end {
-        let base = p - p0;
-        let mut w = 0u64;
-        for b in 0..64 {
-            w |= (test(base + b) as u64) << b;
+        if mask[p >> 6] != 0 {
+            let base = p - p0;
+            let mut w = 0u64;
+            for b in 0..64 {
+                w |= (test(base + b) as u64) << b;
+            }
+            mask[p >> 6] &= w;
         }
-        mask[p >> 6] &= w;
         p += 64;
     }
     while p < end {
-        if !test(p - p0) {
-            mask[p >> 6] &= !(1u64 << (p & 63));
-        }
+        and_bit(mask, p, |p| test(p - p0));
         p += 1;
+    }
+}
+
+/// Clear bit `p` of `mask` if it is set and fails `test`.
+#[inline]
+fn and_bit(mask: &mut [u64], p: usize, mut test: impl FnMut(usize) -> bool) {
+    let bit = 1u64 << (p & 63);
+    if mask[p >> 6] & bit != 0 && !test(p) {
+        mask[p >> 6] &= !bit;
     }
 }
 
@@ -498,27 +507,16 @@ fn and_mask_col<T: Coded>(
     }
 }
 
-/// Reusable buffers for the vectorized mask evaluation: the AND
-/// accumulator and (for OR predicates) the per-conjunction scratch word
-/// array. Sized for [`CHUNK_ROWS`]-row windows.
-pub struct MaskScratch {
-    acc: Vec<u64>,
-    tmp: Vec<u64>,
-}
+/// Words in one [`CHUNK_ROWS`]-row window mask.
+const WINDOW_WORDS: usize = CHUNK_ROWS / 64;
 
-impl Default for MaskScratch {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl MaskScratch {
-    pub fn new() -> Self {
-        MaskScratch {
-            acc: vec![0; CHUNK_ROWS.div_ceil(64)],
-            tmp: vec![0; CHUNK_ROWS.div_ceil(64)],
-        }
-    }
+/// Reusable window masks for the scan loop: the source mask rows are
+/// extracted from, and (for OR predicates) the per-conjunction and
+/// union masks.
+struct MaskScratch {
+    mask: [u64; WINDOW_WORDS],
+    conj: [u64; WINDOW_WORDS],
+    any: [u64; WINDOW_WORDS],
 }
 
 /// A whole predicate compiled for scanning.
@@ -529,75 +527,37 @@ pub enum CompiledPred<'a> {
 }
 
 impl CompiledPred<'_> {
-    #[inline]
-    pub fn eval(&self, row: usize) -> bool {
-        match self {
-            CompiledPred::True => true,
-            CompiledPred::And(atoms) => atoms.iter().all(|a| a.eval(row)),
-            CompiledPred::Or(disj) => disj.iter().any(|c| c.iter().all(|a| a.eval(row))),
-        }
-    }
-
     pub fn is_true(&self) -> bool {
         matches!(self, CompiledPred::True)
     }
 
-    /// Vectorized range evaluation: append the qualifying row ids of
-    /// `start..end` (at most [`CHUNK_ROWS`] rows) to `out`, in ascending
-    /// order. Builds a bitmask window — all-ones ANDed down per atom for
-    /// a conjunction, per-conjunction masks ORed together for a
-    /// disjunction — then extracts set bits. Equivalent to calling
-    /// [`CompiledPred::eval`] on every row, but sealed chunks are
-    /// consumed in place via `CAtom::and_mask`.
-    pub fn collect_range(
-        &self,
-        start: usize,
-        end: usize,
-        scratch: &mut MaskScratch,
-        out: &mut Vec<u32>,
-    ) {
-        debug_assert!(end - start <= CHUNK_ROWS);
-        let n = end - start;
-        if n == 0 {
-            return;
-        }
-        let words = n.div_ceil(64);
-        let fill_ones = |m: &mut Vec<u64>| {
-            m[..words].fill(!0u64);
-            if n & 63 != 0 {
-                m[words - 1] = !0u64 >> (64 - (n & 63));
-            }
-        };
+    /// AND the predicate's truth over rows `start..end` (one window)
+    /// into `s.mask[..words]`, bit `i` ↔ row `start + i`. A conjunction
+    /// ANDs its atoms in place; a disjunction ANDs each conjunction into
+    /// a copy of the mask and ORs the copies. Sealed chunks are consumed
+    /// in place (`CAtom::and_mask`) and clear words are skipped.
+    fn and_window(&self, start: usize, end: usize, words: usize, s: &mut MaskScratch) {
+        let mask = &mut s.mask[..words];
         match self {
-            CompiledPred::True => {
-                out.extend((start..end).map(|r| r as u32));
-                return;
-            }
+            CompiledPred::True => {}
             CompiledPred::And(atoms) => {
-                fill_ones(&mut scratch.acc);
                 for a in atoms {
-                    a.and_mask(start, end, &mut scratch.acc[..words]);
+                    a.and_mask(start, end, mask);
                 }
             }
             CompiledPred::Or(disj) => {
-                scratch.acc[..words].fill(0);
-                for conj in disj {
-                    fill_ones(&mut scratch.tmp);
-                    for a in conj {
-                        a.and_mask(start, end, &mut scratch.tmp[..words]);
+                let (conj, any) = (&mut s.conj[..words], &mut s.any[..words]);
+                any.fill(0);
+                for c in disj {
+                    conj.copy_from_slice(mask);
+                    for a in c {
+                        a.and_mask(start, end, conj);
                     }
-                    for (acc, t) in scratch.acc[..words].iter_mut().zip(&scratch.tmp[..words]) {
-                        *acc |= *t;
+                    for (u, t) in any.iter_mut().zip(conj.iter()) {
+                        *u |= *t;
                     }
                 }
-            }
-        }
-        for (wi, &word) in scratch.acc[..words].iter().enumerate() {
-            let mut w = word;
-            while w != 0 {
-                let b = w.trailing_zeros() as usize;
-                out.push((start + (wi << 6) + b) as u32);
-                w &= w - 1;
+                mask.copy_from_slice(any);
             }
         }
     }
@@ -710,24 +670,35 @@ pub fn compile_pred<'a>(
 // Row sources
 // ---------------------------------------------------------------------
 
-/// Rows handed to the aggregation kernel per batch. 4096 ids = 16 KiB of
-/// row ids plus 32 KiB of codes — comfortably cache-resident alongside
-/// the dimension columns being gathered.
+/// Rows per scan window. Every source is scanned as consecutive windows
+/// of up to this many rows, each reduced to a `u64` mask (one bit per
+/// row) before its qualifying row ids are handed to the aggregation
+/// kernel: 4096 rows = 64 mask words, 16 KiB of row ids plus 32 KiB of
+/// codes — cache-resident alongside the dimension columns being
+/// gathered. It is also the cancellation grain: the scan checks its ctx
+/// once per window.
 pub const CHUNK_ROWS: usize = 4096;
 
-/// Where qualifying rows come from.
+/// Where qualifying rows come from. Every shape is scanned by the same
+/// window loop and differs only in its *source mask* — the rows the
+/// window visits before any residual predicate — and in its row span.
 pub enum RowSource<'a> {
-    /// Every row (100% selectivity, no predicate work).
+    /// Every row `0..n` (100% selectivity, no predicate work). Source
+    /// mask: all ones.
     All(usize),
-    /// Rows pre-selected by bitmap index algebra.
+    /// Rows pre-selected by bitmap index algebra over the whole table.
+    /// Source mask: the bitmap's words for the window; windows without
+    /// a member are skipped without touching a column.
     Bitmap(RoaringBitmap),
-    /// Full scan with a compiled per-row filter.
+    /// Full scan with a compiled filter. Source mask: all ones, the
+    /// filter ANDed in per window.
     Filtered {
         n_rows: usize,
         pred: CompiledPred<'a>,
     },
-    /// Bitmap candidates with a residual per-row filter (numeric atoms the
-    /// bitmap index cannot answer).
+    /// Bitmap candidates with a residual filter (numeric atoms the
+    /// bitmap index cannot answer). Source mask: the bitmap's words,
+    /// the residual ANDed in only where they are non-zero.
     BitmapFiltered {
         rows: RoaringBitmap,
         pred: CompiledPred<'a>,
@@ -742,49 +713,7 @@ pub enum RowSource<'a> {
     },
 }
 
-impl RowSource<'_> {
-    /// Visit qualifying rows in ascending order; returns rows *visited*
-    /// (scanned), which may exceed rows qualifying.
-    #[inline]
-    pub fn for_each<F: FnMut(usize)>(&self, mut f: F) -> u64 {
-        match self {
-            RowSource::All(n) => {
-                for r in 0..*n {
-                    f(r);
-                }
-                *n as u64
-            }
-            RowSource::Bitmap(bm) => {
-                bm.for_each(|r| f(r as usize));
-                bm.len()
-            }
-            RowSource::Filtered { n_rows, pred } => {
-                for r in 0..*n_rows {
-                    if pred.eval(r) {
-                        f(r);
-                    }
-                }
-                *n_rows as u64
-            }
-            RowSource::BitmapFiltered { rows, pred } => {
-                rows.for_each(|r| {
-                    if pred.eval(r as usize) {
-                        f(r as usize);
-                    }
-                });
-                rows.len()
-            }
-            RowSource::Range { start, end, pred } => {
-                for r in *start..*end {
-                    if pred.as_ref().is_none_or(|p| p.eval(r)) {
-                        f(r);
-                    }
-                }
-                (*end - *start) as u64
-            }
-        }
-    }
-
+impl<'a> RowSource<'a> {
     /// Rows this source will *visit* — the work estimate the parallel
     /// routing threshold compares against.
     pub fn estimated_rows(&self) -> usize {
@@ -810,191 +739,134 @@ impl RowSource<'_> {
         }
     }
 
-    /// Visit qualifying rows as ascending chunks of at most [`CHUNK_ROWS`]
-    /// ids; returns rows visited (same contract as [`RowSource::for_each`]).
-    /// One shared implementation with [`RowSource::for_each_chunk_ctx`]:
-    /// a fresh (never-cancelled) ctx costs one relaxed load per chunk.
-    pub fn for_each_chunk<F: FnMut(&[u32])>(&self, f: F) -> u64 {
-        self.for_each_chunk_ctx(&QueryCtx::new(), f).0
+    /// The source bitmap (if any) and the residual predicate (if any
+    /// that is not trivially true).
+    fn parts(&self) -> (Option<&RoaringBitmap>, Option<&CompiledPred<'a>>) {
+        let (bitmap, pred) = match self {
+            RowSource::All(_) => (None, None),
+            RowSource::Bitmap(bm) => (Some(bm), None),
+            RowSource::Filtered { pred, .. } => (None, Some(pred)),
+            RowSource::BitmapFiltered { rows, pred } => (Some(rows), Some(pred)),
+            RowSource::Range { pred, .. } => (None, pred.as_ref()),
+        };
+        (bitmap, pred.filter(|p| !p.is_true()))
     }
 
-    /// Cancellable variant of [`RowSource::for_each_chunk`]: records
-    /// progress on `ctx` and checks for cancellation every
-    /// [`CHUNK_ROWS`] *visited* rows (not per emitted chunk, so highly
-    /// selective filters still observe a cancel promptly). Returns rows
-    /// visited and whether the scan ran to completion — `false` means
-    /// the ctx was cancelled and the visit stopped early (a partial
-    /// trailing chunk is discarded, never handed to `f`).
-    pub fn for_each_chunk_ctx<F: FnMut(&[u32])>(&self, ctx: &QueryCtx, mut f: F) -> (u64, bool) {
+    /// The rows `[start, end)` the scan's windows cover. Bitmap sources
+    /// span the whole table, `n_rows` rows; the others carry their span.
+    fn span(&self, n_rows: usize) -> (usize, usize) {
         match self {
-            RowSource::All(n) => scan_range_ctx(0, *n, None, ctx, f),
-            RowSource::Filtered { n_rows, pred } => scan_range_ctx(0, *n_rows, Some(pred), ctx, f),
-            RowSource::Range { start, end, pred } => {
-                scan_range_ctx(*start, *end, pred.as_ref(), ctx, f)
-            }
-            RowSource::Bitmap(bm) => {
-                let mut buf: Vec<u32> = Vec::with_capacity(CHUNK_ROWS);
-                let mut visited = 0u64;
-                let mut since = 0u64;
-                for r in bm.iter() {
-                    if since == CHUNK_ROWS as u64 {
-                        ctx.record_scanned(since);
-                        since = 0;
-                        if ctx.is_cancelled() {
-                            return (visited, false);
-                        }
-                    }
-                    buf.push(r);
-                    if buf.len() == CHUNK_ROWS {
-                        f(&buf);
-                        buf.clear();
-                    }
-                    visited += 1;
-                    since += 1;
-                }
-                ctx.record_scanned(since);
-                if !buf.is_empty() {
-                    f(&buf);
-                }
-                (visited, true)
-            }
-            RowSource::BitmapFiltered { rows, pred } => {
-                let mut buf: Vec<u32> = Vec::with_capacity(CHUNK_ROWS);
-                let mut visited = 0u64;
-                let mut since = 0u64;
-                for r in rows.iter() {
-                    if since == CHUNK_ROWS as u64 {
-                        ctx.record_scanned(since);
-                        since = 0;
-                        if ctx.is_cancelled() {
-                            return (visited, false);
-                        }
-                    }
-                    if pred.eval(r as usize) {
-                        buf.push(r);
-                        if buf.len() == CHUNK_ROWS {
-                            f(&buf);
-                            buf.clear();
-                        }
-                    }
-                    visited += 1;
-                    since += 1;
-                }
-                ctx.record_scanned(since);
-                if !buf.is_empty() {
-                    f(&buf);
-                }
-                (visited, true)
+            RowSource::All(n) | RowSource::Filtered { n_rows: n, .. } => (0, *n),
+            RowSource::Range { start, end, .. } => (*start, *end),
+            RowSource::Bitmap(bm) | RowSource::BitmapFiltered { rows: bm, .. } => {
+                debug_assert!(bm.max().is_none_or(|m| (m as usize) < n_rows));
+                (0, n_rows)
             }
         }
     }
-}
 
-/// Cancellable chunked scan over a contiguous row range with an
-/// optional residual filter: records visited rows on `ctx` and checks
-/// for cancellation every [`CHUNK_ROWS`] visited rows. Returns rows
-/// visited and whether the scan completed.
-fn scan_range_ctx<F: FnMut(&[u32])>(
-    start: usize,
-    end: usize,
-    pred: Option<&CompiledPred<'_>>,
-    ctx: &QueryCtx,
-    mut f: F,
-) -> (u64, bool) {
-    let mut buf: Vec<u32> = Vec::with_capacity(CHUNK_ROWS);
-    match pred {
-        None => {
-            let mut r = start;
-            while r < end {
-                if ctx.is_cancelled() {
-                    return ((r - start) as u64, false);
+    /// Morsel `m` scans rows `bounds[m]..bounds[m + 1]`. Range-shaped
+    /// sources are cut every `morsel_rows` rows. Bitmap sources are cut
+    /// at 64-row word boundaries so that each morsel holds about
+    /// `morsel_rows` members (to within one word): a sparse bitmap gets
+    /// as many morsels as it has rows to visit, not as many as its row
+    /// space would. The cuts depend only on the bitmap, so the ordered
+    /// merge stays deterministic.
+    fn morsel_bounds(&self, n_rows: usize, morsel_rows: usize) -> Vec<usize> {
+        let (start, end) = self.span(n_rows);
+        let mut bounds = vec![start];
+        match self.parts().0 {
+            None => bounds.extend((start.saturating_add(morsel_rows)..end).step_by(morsel_rows)),
+            Some(bm) => {
+                for member in bm.select_every(morsel_rows) {
+                    let cut = member as usize & !63;
+                    if cut > bounds[bounds.len() - 1] {
+                        bounds.push(cut);
+                    }
                 }
-                let c = (end - r).min(CHUNK_ROWS);
-                buf.clear();
-                buf.extend((r..r + c).map(|x| x as u32));
-                f(&buf);
-                ctx.record_scanned(c as u64);
-                r += c;
             }
-            ((end - start) as u64, true)
         }
-        Some(p) if p.is_true() => scan_range_ctx(start, end, None, ctx, f),
-        Some(p) => {
-            // Vectorized filter: evaluate a CHUNK_ROWS-row mask window
-            // per iteration (encoded chunks consumed in place — see
-            // `CAtom::and_mask`) and emit the window's qualifying ids as
-            // one chunk. Emitted chunk sizes differ from the row-at-a-
-            // time path (which buffered to exactly CHUNK_ROWS ids), but
-            // chunk boundaries are not observable in results: rows stay
-            // ascending, group slots are first-seen ordered, and morsel
-            // partials merge by index — bit-for-bit identical output.
-            let mut scratch = MaskScratch::new();
-            let mut r = start;
-            while r < end {
-                if ctx.is_cancelled() {
-                    return ((r - start) as u64, false);
-                }
-                let c = (end - r).min(CHUNK_ROWS);
-                buf.clear();
-                p.collect_range(r, r + c, &mut scratch, &mut buf);
-                if !buf.is_empty() {
-                    f(&buf);
-                }
-                ctx.record_scanned(c as u64);
-                r += c;
-            }
-            ((end - start) as u64, true)
+        if end > start {
+            bounds.push(end);
         }
+        bounds
     }
-}
 
-/// Cancellable [`scan_ids`]: same ctx contract as [`scan_range_ctx`].
-fn scan_ids_ctx<F: FnMut(&[u32])>(
-    ids: &[u32],
-    pred: Option<&CompiledPred<'_>>,
-    ctx: &QueryCtx,
-    mut f: F,
-) -> (u64, bool) {
-    match pred {
-        None => {
-            let mut done = 0usize;
-            for chunk in ids.chunks(CHUNK_ROWS) {
-                if ctx.is_cancelled() {
-                    return (done as u64, false);
-                }
-                f(chunk);
-                ctx.record_scanned(chunk.len() as u64);
-                done += chunk.len();
+    /// The scan loop every source shares. Walks rows `start..end` in
+    /// windows of up to [`CHUNK_ROWS`] rows; per window it
+    ///
+    /// 1. checks `ctx` for cancellation,
+    /// 2. fills the source mask (all ones, or the bitmap's words) and
+    ///    skips the window if it is zero,
+    /// 3. ANDs the residual predicate in,
+    /// 4. hands the set bits, as ascending row ids, to `f`, and
+    /// 5. records the window's *visited* rows — set bits of the source
+    ///    mask, counted before the residual — on `ctx`.
+    ///
+    /// Returns rows visited and whether the scan completed (`false`:
+    /// the ctx was cancelled and the scan stopped between windows).
+    fn scan_ctx<F: FnMut(&[u32])>(
+        &self,
+        start: usize,
+        end: usize,
+        ctx: &QueryCtx,
+        mut f: F,
+    ) -> (u64, bool) {
+        let (bitmap, residual) = self.parts();
+        let mut s = MaskScratch {
+            mask: [0; WINDOW_WORDS],
+            conj: [0; WINDOW_WORDS],
+            any: [0; WINDOW_WORDS],
+        };
+        let mut rows: Vec<u32> = Vec::with_capacity(CHUNK_ROWS);
+        let mut visited = 0u64;
+        let mut w = start;
+        while w < end {
+            if ctx.is_cancelled() {
+                return (visited, false);
             }
-            (ids.len() as u64, true)
-        }
-        Some(p) if p.is_true() => scan_ids_ctx(ids, None, ctx, f),
-        Some(p) => {
-            let mut buf: Vec<u32> = Vec::with_capacity(CHUNK_ROWS);
-            let mut since = 0u64;
-            for (i, &r) in ids.iter().enumerate() {
-                if since == CHUNK_ROWS as u64 {
-                    ctx.record_scanned(since);
-                    since = 0;
-                    if ctx.is_cancelled() {
-                        return (i as u64, false);
+            let n = (end - w).min(CHUNK_ROWS);
+            let words = n.div_ceil(64);
+            let mask = &mut s.mask[..words];
+            let seen = match bitmap {
+                Some(bm) => {
+                    bm.fill_words(w as u32, n, mask);
+                    mask.iter().map(|m| m.count_ones() as u64).sum()
+                }
+                None => {
+                    mask.fill(!0);
+                    if n & 63 != 0 {
+                        mask[words - 1] = !0 >> (64 - (n & 63));
+                    }
+                    n as u64
+                }
+            };
+            if seen > 0 {
+                if let Some(p) = residual {
+                    p.and_window(w, w + n, words, &mut s);
+                }
+                rows.clear();
+                for (wi, &word) in s.mask[..words].iter().enumerate() {
+                    let base = (w + (wi << 6)) as u32;
+                    if word == !0 {
+                        rows.extend(base..base + 64);
+                        continue;
+                    }
+                    let mut bits = word;
+                    while bits != 0 {
+                        rows.push(base + bits.trailing_zeros());
+                        bits &= bits - 1;
                     }
                 }
-                if p.eval(r as usize) {
-                    buf.push(r);
-                    if buf.len() == CHUNK_ROWS {
-                        f(&buf);
-                        buf.clear();
-                    }
+                if !rows.is_empty() {
+                    f(&rows);
                 }
-                since += 1;
+                ctx.record_scanned(seen);
+                visited += seen;
             }
-            ctx.record_scanned(since);
-            if !buf.is_empty() {
-                f(&buf);
-            }
-            (ids.len() as u64, true)
+            w += n;
         }
+        (visited, true)
     }
 }
 
@@ -1038,9 +910,8 @@ pub enum DimEncoder<'a> {
 
 /// Walk the storage segments spanned by an ascending row-id chunk:
 /// calls `f(i, j, seg)` for each maximal id subrange `rows[i..j]` that
-/// falls inside one segment. The row-id contract of
-/// [`RowSource::for_each_chunk`] (ascending ids) is what makes this a
-/// forward walk — one segment lookup plus one partition point per
+/// falls inside one segment. The scan loop hands out ascending ids,
+/// which is what makes this a forward walk — one segment lookup plus one partition point per
 /// segment touched, not per row.
 #[inline]
 fn for_spans<'a, T: Coded>(
@@ -1816,21 +1687,23 @@ pub fn aggregate_ctx(
 ) -> Result<(ResultTable, u64), StorageError> {
     let plan = build_plan(table, query, source.stat_rows())?;
     ctx.check()?;
-    serial_run(query, &plan, source, strategy, ctx)
+    serial_run(query, &plan, source, table.num_rows(), strategy, ctx)
 }
 
 /// The serial accumulate-and-finalize body shared by [`aggregate_ctx`]
 /// and the morsel path's one-worker fallback — the degrade refuge: no
-/// fan-out, no injection points.
+/// fan-out, no injection points. One scan over the source's whole span.
 fn serial_run(
     query: &SelectQuery,
     plan: &GroupPlan<'_>,
     source: &RowSource<'_>,
+    n_rows: usize,
     strategy: GroupStrategy,
     ctx: &QueryCtx,
 ) -> Result<(ResultTable, u64), StorageError> {
     let mut acc = ChunkAccumulator::new(plan, strategy);
-    let (scanned, completed) = source.for_each_chunk_ctx(ctx, |rows| acc.consume(rows));
+    let (start, end) = source.span(n_rows);
+    let (scanned, completed) = source.scan_ctx(start, end, ctx, |rows| acc.consume(rows));
     if !completed || ctx.is_cancelled() {
         return Err(StorageError::Cancelled);
     }
@@ -1838,87 +1711,18 @@ fn serial_run(
     Ok((finalize_result(query, plan, &acc, &occupied), scanned))
 }
 
-/// A row source lowered to a unit-addressable form morsels can be cut
-/// from: range sources keep their row interval, bitmap sources
-/// materialize their ids once and split the id array.
-enum MorselInput<'s, 'a> {
-    Rows {
-        /// First physical row of the interval; unit `u` maps to row
-        /// `base + u` (non-zero only for [`RowSource::Range`]).
-        base: usize,
-        n: usize,
-        pred: Option<&'s CompiledPred<'a>>,
-    },
-    Ids {
-        ids: Vec<u32>,
-        pred: Option<&'s CompiledPred<'a>>,
-    },
-}
-
-impl<'s, 'a> MorselInput<'s, 'a> {
-    fn of(source: &'s RowSource<'a>) -> Self {
-        match source {
-            RowSource::All(n) => MorselInput::Rows {
-                base: 0,
-                n: *n,
-                pred: None,
-            },
-            RowSource::Filtered { n_rows, pred } => MorselInput::Rows {
-                base: 0,
-                n: *n_rows,
-                pred: Some(pred),
-            },
-            RowSource::Bitmap(bm) => MorselInput::Ids {
-                ids: bm.to_vec(),
-                pred: None,
-            },
-            RowSource::BitmapFiltered { rows, pred } => MorselInput::Ids {
-                ids: rows.to_vec(),
-                pred: Some(pred),
-            },
-            RowSource::Range { start, end, pred } => MorselInput::Rows {
-                base: *start,
-                n: *end - *start,
-                pred: pred.as_ref(),
-            },
-        }
-    }
-
-    fn n_units(&self) -> usize {
-        match self {
-            MorselInput::Rows { n, .. } => *n,
-            MorselInput::Ids { ids, .. } => ids.len(),
-        }
-    }
-
-    /// Scan units `start..end`, feeding chunks of qualifying row ids to
-    /// `f`. Checks `ctx` between chunks (and records visited rows on
-    /// it); returns rows visited and whether the scan completed.
-    fn scan_ctx<F: FnMut(&[u32])>(
-        &self,
-        start: usize,
-        end: usize,
-        ctx: &QueryCtx,
-        f: F,
-    ) -> (u64, bool) {
-        match self {
-            MorselInput::Rows { base, pred, .. } => {
-                scan_range_ctx(base + start, base + end, *pred, ctx, f)
-            }
-            MorselInput::Ids { ids, pred } => scan_ids_ctx(&ids[start..end], *pred, ctx, f),
-        }
-    }
-}
-
 // ---------------------------------------------------------------------
 // Morsel-driven scheduling
 // ---------------------------------------------------------------------
 
-/// Rows per morsel: a multiple of [`CHUNK_ROWS`] (so morsel boundaries
-/// are chunk boundaries and the chunked scan never splits a buffer),
-/// small enough that a 1M-row scan yields ~60 claimable units for the
-/// skew balancing to work with, large enough that the atomic claim and
-/// per-morsel compaction are noise against the row work.
+/// Rows to visit per morsel: a multiple of [`CHUNK_ROWS`], small enough
+/// that a 1M-row scan yields ~60 claimable units for the skew balancing
+/// to work with, large enough that the atomic claim and per-morsel
+/// compaction are noise against the row work. Range-shaped sources
+/// (`All`, `Filtered`, `Range`) cut a morsel every `MORSEL_ROWS` rows,
+/// so morsel boundaries are window boundaries. Bitmap sources cut at
+/// word boundaries after about `MORSEL_ROWS` *members*, so a morsel of
+/// a sparse bitmap spans more row space but the same visiting work.
 pub const MORSEL_ROWS: usize = 4 * CHUNK_ROWS;
 
 /// Telemetry from one morsel-scheduled aggregation ([`aggregate_morsel`]):
@@ -2111,8 +1915,9 @@ fn merge_morsel_partials(
 }
 
 /// Morsel-scheduled variant of [`aggregate`] — the parallel scan path.
-/// Workers claim fixed-size, chunk-aligned morsels of `morsel_rows` rows
-/// one at a time off a shared atomic cursor, so a skew-heavy region of
+/// Workers claim morsels of about `morsel_rows` rows to visit (see
+/// [`MORSEL_ROWS`] for how each source shape is cut) one at a time off a
+/// shared atomic cursor, so a skew-heavy region of
 /// the table is absorbed by whichever workers are free; per-morsel
 /// partials are compacted, tagged by morsel index, and merged in index
 /// order, so the result (including float rounding) is reproducible
@@ -2143,7 +1948,7 @@ pub fn aggregate_morsel(
 }
 
 /// Cancellable [`aggregate_morsel`]. Workers check `ctx` **between
-/// claims** (the scheduler's cancellation point) and between chunks
+/// claims** (the scheduler's cancellation point) and between windows
 /// inside a claimed morsel. A cancelled scan returns
 /// [`StorageError::Cancelled`], recording the abandoned morsel count on
 /// the ctx.
@@ -2202,17 +2007,14 @@ fn morsel_run(
         let cap = (DENSE_PARALLEL_SLOT_BUDGET / plan.total.max(1)).max(1) as usize;
         workers = workers.min(cap);
     }
-    // `estimated_rows` equals the unit count of every source shape, so
-    // the serial fallback is decided *before* a bitmap source pays the
-    // cost of materializing its id array.
-    let n_units = source.estimated_rows();
-    let n_morsels = n_units.div_ceil(morsel_rows);
+    let n_rows = table.num_rows();
+    let bounds = source.morsel_bounds(n_rows, morsel_rows);
+    let n_morsels = bounds.len() - 1;
     workers = workers.min(n_morsels.max(1));
     if workers <= 1 {
-        return serial_run(query, &plan, source, strategy, ctx).map(|(rt, n)| (rt, n, None));
+        return serial_run(query, &plan, source, n_rows, strategy, ctx)
+            .map(|(rt, n)| (rt, n, None));
     }
-    let input = MorselInput::of(source);
-    debug_assert_eq!(input.n_units(), n_units);
     let epoch = ctx.fault_epoch();
     if fault.fires(
         crate::fault::FaultPoint::WorkerSpawn,
@@ -2245,12 +2047,11 @@ fn morsel_run(
             if m >= n_morsels {
                 break;
             }
-            let start = m * morsel_rows;
-            let end = ((m + 1) * morsel_rows).min(n_units);
-            // `scan_ctx` checks the ctx between chunks *inside* the
-            // claimed morsel (and records scanned rows as it goes), so
+            let (start, end) = (bounds[m], bounds[m + 1]);
+            // `scan_ctx` checks the ctx between windows *inside* the
+            // claimed morsel (and records visited rows as it goes), so
             // injected per-morsel delays or oversized morsels cannot
-            // stretch cancel latency past one chunk.
+            // stretch cancel latency past one window.
             let scan = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
                 if fault.fires(crate::fault::FaultPoint::MorselDelay, m as u64, epoch) {
                     fault.delay();
@@ -2258,7 +2059,7 @@ fn morsel_run(
                 if fault.fires(crate::fault::FaultPoint::ChunkScanPanic, m as u64, epoch) {
                     crate::fault::injected_panic(m as u64);
                 }
-                input.scan_ctx(start, end, ctx, |rows| acc.consume(rows))
+                source.scan_ctx(start, end, ctx, |rows| acc.consume(rows))
             }));
             match scan {
                 Ok((v, completed)) => {
@@ -2341,7 +2142,7 @@ fn morsel_run(
 /// Engine-facing dispatcher: run the aggregation with `threads` workers
 /// (serial when `threads <= 1`, morsel-claimed otherwise), recording
 /// morsel claim telemetry into `stats` and observing `ctx` at the scan's
-/// cancellation points (between chunks, and between claims). Both
+/// cancellation points (between windows, and between claims). Both
 /// engines' pinned snapshots route their scans through here.
 #[allow(clippy::too_many_arguments)]
 pub fn run_scheduled(
@@ -2740,14 +2541,17 @@ mod tests {
             }),
         ];
         for p in &preds {
-            let compiled = compile_pred(&t, p).unwrap();
-            for row in 0..t.num_rows() {
-                assert_eq!(
-                    compiled.eval(row),
-                    p.eval_row(&t, row).unwrap(),
-                    "mismatch for {p} at row {row}"
-                );
-            }
+            let src = RowSource::Filtered {
+                n_rows: t.num_rows(),
+                pred: compile_pred(&t, p).unwrap(),
+            };
+            let mut got: Vec<u32> = Vec::new();
+            src.scan_ctx(0, t.num_rows(), &QueryCtx::new(), |c| got.extend(c));
+            let want: Vec<u32> = (0..t.num_rows())
+                .filter(|&r| p.eval_row(&t, r).unwrap())
+                .map(|r| r as u32)
+                .collect();
+            assert_eq!(got, want, "mismatch for {p}");
         }
     }
 
@@ -2773,22 +2577,6 @@ mod tests {
             aggregate_morsel(&t, &q, &src, GroupStrategy::Hash, 4, MORSEL_ROWS).unwrap();
         assert!(rt.is_empty());
         assert_eq!(scanned, 0);
-    }
-
-    #[test]
-    fn chunked_scan_matches_row_at_a_time() {
-        let t = sales_table();
-        let pred = compile_pred(&t, &Predicate::cat_eq("product", "chair")).unwrap();
-        let src = RowSource::Filtered {
-            n_rows: t.num_rows(),
-            pred,
-        };
-        let mut rows_a: Vec<u32> = Vec::new();
-        let scanned_a = src.for_each(|r| rows_a.push(r as u32));
-        let mut rows_b: Vec<u32> = Vec::new();
-        let scanned_b = src.for_each_chunk(|chunk| rows_b.extend_from_slice(chunk));
-        assert_eq!(rows_a, rows_b);
-        assert_eq!(scanned_a, scanned_b);
     }
 
     #[test]
@@ -2879,6 +2667,104 @@ mod tests {
             .unwrap();
         }
         b.finish()
+    }
+
+    /// The window loop against an independent reference, for every
+    /// source shape: the rows handed to the kernel are exactly the
+    /// source's candidates that the uncompiled predicate
+    /// (`Predicate::eval_row`) accepts, ascending, and "visited" counts
+    /// the candidates before the residual. The same holds piecewise over
+    /// every morsel cut, and bitmap morsels are word-aligned and hold
+    /// about `morsel_rows` candidates each.
+    #[test]
+    fn window_scan_matches_reference_rows() {
+        let rows = 70_123; // two roaring containers, a ragged last window
+        let t = wide_table(rows);
+        let num = |col: &str, op, value| Atom::NumCmp {
+            col: col.into(),
+            op,
+            value,
+        };
+        let preds = [
+            Predicate::And(vec![
+                num("val", CmpOp::Gt, 100.0),
+                num("key", CmpOp::Lt, 20.0),
+            ]),
+            Predicate::Or(vec![
+                vec![num("key", CmpOp::Lt, 5.0)],
+                vec![num("val", CmpOp::Gt, 200.0), num("hot", CmpOp::Eq, 1.0)],
+            ]),
+        ];
+        let bm: RoaringBitmap = (0..rows as u32)
+            .filter(|r| r % 7 == 0 || (5_000..9_000).contains(r))
+            .collect();
+        let members: Vec<usize> = bm.iter().map(|r| r as usize).collect();
+        let (lo, hi) = (3_001, 68_000);
+        for pred in &preds {
+            let compiled = || compile_pred(&t, pred).unwrap();
+            let cases: Vec<(RowSource<'_>, Vec<usize>, bool)> = vec![
+                (RowSource::All(rows), (0..rows).collect(), false),
+                (
+                    RowSource::Filtered {
+                        n_rows: rows,
+                        pred: compiled(),
+                    },
+                    (0..rows).collect(),
+                    true,
+                ),
+                (RowSource::Bitmap(bm.clone()), members.clone(), false),
+                (
+                    RowSource::BitmapFiltered {
+                        rows: bm.clone(),
+                        pred: compiled(),
+                    },
+                    members.clone(),
+                    true,
+                ),
+                (
+                    RowSource::Range {
+                        start: lo,
+                        end: hi,
+                        pred: None,
+                    },
+                    (lo..hi).collect(),
+                    false,
+                ),
+                (
+                    RowSource::Range {
+                        start: lo,
+                        end: hi,
+                        pred: Some(compiled()),
+                    },
+                    (lo..hi).collect(),
+                    true,
+                ),
+            ];
+            for (i, (src, candidates, filtered)) in cases.iter().enumerate() {
+                let want: Vec<u32> = candidates
+                    .iter()
+                    .filter(|&&r| !filtered || pred.eval_row(&t, r).unwrap())
+                    .map(|&r| r as u32)
+                    .collect();
+                for morsel_rows in [64, 257, MORSEL_ROWS, usize::MAX / 2] {
+                    let bounds = src.morsel_bounds(rows, morsel_rows);
+                    let mut got: Vec<u32> = Vec::new();
+                    let mut visited = 0;
+                    for m in bounds.windows(2) {
+                        let (v, done) =
+                            src.scan_ctx(m[0], m[1], &QueryCtx::new(), |c| got.extend(c));
+                        assert!(done);
+                        if src.parts().0.is_some() {
+                            assert!(v as usize <= morsel_rows + 63, "case {i}: {v} rows");
+                            assert_eq!(m[0] % 64, 0, "case {i}: cut at {}", m[0]);
+                        }
+                        visited += v;
+                    }
+                    assert_eq!(got, want, "case {i}, pred {pred}, morsels of {morsel_rows}");
+                    assert_eq!(visited, candidates.len() as u64, "case {i}");
+                }
+            }
+        }
     }
 
     #[test]

@@ -14,7 +14,7 @@
 //!   built-in cancellation point: a worker that sees the flag simply
 //!   stops claiming),
 //! * the **serial** scan, and the scan inside a claimed morsel, check
-//!   between chunks ([`crate::exec::CHUNK_ROWS`] rows).
+//!   between scan windows ([`crate::exec::CHUNK_ROWS`] rows).
 //!
 //! A cancelled query returns [`StorageError::Cancelled`] and its partial
 //! result is discarded *before* the result cache ever sees it — the

@@ -155,6 +155,97 @@ impl Container {
         }
     }
 
+    /// Smallest value, read straight from the representation.
+    fn first(&self) -> Option<u16> {
+        match self {
+            Container::Array(v) => v.first().copied(),
+            Container::Bitmap(b) => b
+                .iter()
+                .position(|&w| w != 0)
+                .map(|wi| (wi as u32 * 64 + b[wi].trailing_zeros()) as u16),
+            Container::Run(runs) => runs.first().map(|&(s, _)| s),
+        }
+    }
+
+    /// Largest value, read straight from the representation.
+    fn last(&self) -> Option<u16> {
+        match self {
+            Container::Array(v) => v.last().copied(),
+            Container::Bitmap(b) => b
+                .iter()
+                .rposition(|&w| w != 0)
+                .map(|wi| (wi as u32 * 64 + 63 - b[wi].leading_zeros()) as u16),
+            Container::Run(runs) => runs.last().map(|&(s, l)| s + l),
+        }
+    }
+
+    /// OR the members in `lo..hi` into `out`, member `v` landing on bit
+    /// `dst + (v - lo)`.
+    fn or_window(&self, lo: u32, hi: u32, out: &mut [u64], dst: usize) {
+        match self {
+            Container::Array(v) => {
+                let from = v.partition_point(|&x| (x as u32) < lo);
+                for &x in v[from..].iter().take_while(|&&x| (x as u32) < hi) {
+                    let b = dst + (x as u32 - lo) as usize;
+                    out[b >> 6] |= 1u64 << (b & 63);
+                }
+            }
+            Container::Bitmap(b) => or_bits(out, dst, &b[..], lo as usize, (hi - lo) as usize),
+            Container::Run(runs) => {
+                let from = runs.partition_point(|&(s, l)| (s as u32 + l as u32) < lo);
+                for &(s, l) in &runs[from..] {
+                    let (rs, re) = (s as u32, s as u32 + l as u32 + 1);
+                    if rs >= hi {
+                        break;
+                    }
+                    let (a, e) = (rs.max(lo), re.min(hi));
+                    set_bits(out, dst + (a - lo) as usize, (e - a) as usize);
+                }
+            }
+        }
+    }
+
+    /// Push `base | v` for the members `v` of rank `rank`, `rank + step`,
+    /// … (0-based, ascending) that this container holds; returns the
+    /// first wanted rank past its end, relative to the next container.
+    fn select_ranks(&self, mut rank: usize, step: usize, base: u32, out: &mut Vec<u32>) -> usize {
+        let mut seen = 0usize;
+        match self {
+            Container::Array(v) => {
+                while rank < v.len() {
+                    out.push(base | v[rank] as u32);
+                    rank += step;
+                }
+                seen = v.len();
+            }
+            Container::Bitmap(b) => {
+                for (wi, &w) in b.iter().enumerate() {
+                    let ones = w.count_ones() as usize;
+                    while rank < seen + ones {
+                        let mut bits = w;
+                        for _ in 0..rank - seen {
+                            bits &= bits - 1;
+                        }
+                        out.push(base | (wi as u32) << 6 | bits.trailing_zeros());
+                        rank += step;
+                    }
+                    seen += ones;
+                }
+            }
+            Container::Run(runs) => {
+                for &(s, l) in runs {
+                    let len = l as usize + 1;
+                    while rank < seen + len {
+                        out.push(base | (s as u32 + (rank - seen) as u32));
+                        rank += step;
+                    }
+                    seen += len;
+                }
+            }
+        }
+        rank - seen
+    }
+
     /// Replace a Run container by its Array/Bitmap equivalent.
     fn devolve(&mut self) {
         if let Container::Run(_) = self {
@@ -406,6 +497,38 @@ fn difference_sorted(a: &[u16], b: &[u16]) -> Vec<u16> {
     out
 }
 
+/// OR `n` bits of `src` starting at bit `s` into `dst` starting at bit
+/// `d`. Each step moves up to one word, so aligned copies go a word at a
+/// time and misaligned ones take two steps per word.
+fn or_bits(dst: &mut [u64], mut d: usize, src: &[u64], mut s: usize, mut n: usize) {
+    while n > 0 {
+        let take = n.min(64 - (s & 63)).min(64 - (d & 63));
+        let low = if take == 64 { !0 } else { (1u64 << take) - 1 };
+        dst[d >> 6] |= ((src[s >> 6] >> (s & 63)) & low) << (d & 63);
+        s += take;
+        d += take;
+        n -= take;
+    }
+}
+
+/// Set `len` bits of `words` starting at bit `from`.
+fn set_bits(words: &mut [u64], from: usize, len: usize) {
+    if len == 0 {
+        return;
+    }
+    let end = from + len;
+    let (fw, lw) = (from >> 6, (end - 1) >> 6);
+    let head = !0u64 << (from & 63);
+    let tail = !0u64 >> (63 - ((end - 1) & 63));
+    if fw == lw {
+        words[fw] |= head & tail;
+    } else {
+        words[fw] |= head;
+        words[fw + 1..lw].fill(!0);
+        words[lw] |= tail;
+    }
+}
+
 /// A compressed bitmap over `u32` row ids.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct RoaringBitmap {
@@ -511,17 +634,50 @@ impl RoaringBitmap {
     }
 
     pub fn min(&self) -> Option<u32> {
-        self.containers.first().map(|(k, c)| {
-            let lo = c.to_array_vec()[0];
-            (*k as u32) << 16 | lo as u32
-        })
+        let (k, c) = self.containers.first()?;
+        Some((*k as u32) << 16 | c.first()? as u32)
     }
 
     pub fn max(&self) -> Option<u32> {
-        self.containers.last().map(|(k, c)| {
-            let lo = *c.to_array_vec().last().unwrap();
-            (*k as u32) << 16 | lo as u32
-        })
+        let (k, c) = self.containers.last()?;
+        Some((*k as u32) << 16 | c.last()? as u32)
+    }
+
+    /// Fill `out` with the membership of values `start..start + len`: bit
+    /// `i` of `out` (word `i / 64`, bit `i % 64`) is set iff `start + i`
+    /// is a member. Writes exactly `len.div_ceil(64)` words, bits past
+    /// `len` left clear; `start` need not be word-aligned and the window
+    /// may straddle container boundaries. Costs one binary search plus
+    /// the members (Array), words (Bitmap) or runs (Run) in the window.
+    pub fn fill_words(&self, start: u32, len: usize, out: &mut [u64]) {
+        let out = &mut out[..len.div_ceil(64)];
+        out.fill(0);
+        let (start, end) = (start as u64, start as u64 + len as u64);
+        let mut i = self
+            .containers
+            .partition_point(|&(k, _)| k < (start >> 16) as u16);
+        while let Some((key, c)) = self.containers.get(i) {
+            let base = (*key as u64) << 16;
+            if base >= end {
+                break;
+            }
+            let lo = start.saturating_sub(base);
+            let hi = (end - base).min(1 << 16);
+            c.or_window(lo as u32, hi as u32, out, (base + lo - start) as usize);
+            i += 1;
+        }
+    }
+
+    /// The members of rank `step`, `2·step`, … (0-based, ascending) —
+    /// one pass, for cutting the bitmap into pieces of `step` members.
+    pub fn select_every(&self, step: usize) -> Vec<u32> {
+        assert!(step >= 1, "select_every needs a positive step");
+        let mut out = Vec::new();
+        let mut rank = step;
+        for (key, c) in &self.containers {
+            rank = c.select_ranks(rank, step, (*key as u32) << 16, &mut out);
+        }
+        out
     }
 
     /// Bitwise AND (set intersection).
@@ -633,38 +789,6 @@ impl RoaringBitmap {
     /// Collect into a `Vec<u32>` (ascending).
     pub fn to_vec(&self) -> Vec<u32> {
         self.iter().collect()
-    }
-
-    /// Visit each set value without allocating an intermediate vector.
-    #[inline]
-    pub fn for_each<F: FnMut(u32)>(&self, mut f: F) {
-        for (key, c) in &self.containers {
-            let base = (*key as u32) << 16;
-            match c {
-                Container::Array(v) => {
-                    for &lo in v {
-                        f(base | lo as u32);
-                    }
-                }
-                Container::Bitmap(b) => {
-                    for (wi, &w) in b.iter().enumerate() {
-                        let mut bits = w;
-                        while bits != 0 {
-                            let t = bits.trailing_zeros();
-                            f(base | (wi as u32) << 6 | t);
-                            bits &= bits - 1;
-                        }
-                    }
-                }
-                Container::Run(runs) => {
-                    for &(s, l) in runs {
-                        for lo in s as u32..=s as u32 + l as u32 {
-                            f(base | lo);
-                        }
-                    }
-                }
-            }
-        }
     }
 }
 
@@ -834,12 +958,87 @@ mod tests {
         RoaringBitmap::from_sorted_iter([3u32, 2]);
     }
 
+    /// One bitmap holding every container kind: an Array container
+    /// (key 0), a Bitmap container (key 1), a Run container (key 2,
+    /// after `run_optimize`) and a lone Array member near the end of
+    /// key 3.
+    fn mixed_kinds() -> RoaringBitmap {
+        let mut bm: RoaringBitmap = (0..65_536u32)
+            .step_by(37)
+            .chain((65_536..131_072).filter(|v| v % 3 != 0))
+            .chain(131_072 + 100..131_072 + 20_000)
+            .chain([262_140])
+            .collect();
+        bm.run_optimize();
+        let kinds: Vec<&str> = bm
+            .containers
+            .iter()
+            .map(|(_, c)| match c {
+                Container::Array(_) => "array",
+                Container::Bitmap(_) => "bitmap",
+                Container::Run(_) => "run",
+            })
+            .collect();
+        assert_eq!(kinds, ["array", "bitmap", "run", "array"]);
+        bm
+    }
+
     #[test]
-    fn for_each_matches_iter() {
-        let bm: RoaringBitmap = (0..70000u32).step_by(3).collect();
-        let mut collected = Vec::new();
-        bm.for_each(|v| collected.push(v));
-        assert_eq!(collected, bm.to_vec());
+    fn fill_words_matches_contains_at_unaligned_starts() {
+        let bm = mixed_kinds();
+        let mut out = vec![!0u64; 4096 / 64 + 1];
+        // Starts on and off word boundaries, windows inside one container
+        // and straddling each 65 536 boundary, ragged and whole lengths.
+        for start in [
+            0u32, 1, 63, 64, 65, 4095, 61_440, 65_535, 65_500, 131_000, 131_171, 260_000,
+        ] {
+            for len in [0usize, 1, 63, 64, 65, 1000, 4096] {
+                out.fill(!0);
+                bm.fill_words(start, len, &mut out);
+                let words = len.div_ceil(64);
+                for i in 0..words * 64 {
+                    let bit = out[i >> 6] >> (i & 63) & 1 == 1;
+                    let want = i < len && bm.contains(start + i as u32);
+                    assert_eq!(bit, want, "start {start}, len {len}, bit {i}");
+                }
+                assert_eq!(out[words], !0, "wrote past len.div_ceil(64) words");
+            }
+        }
+        // Past the last container, and at the top of the universe.
+        bm.fill_words(300_000, 4096, &mut out);
+        assert!(out[..64].iter().all(|&w| w == 0));
+        let top: RoaringBitmap = [u32::MAX - 1, u32::MAX].into_iter().collect();
+        top.fill_words(u32::MAX - 63, 64, &mut out);
+        assert_eq!(out[0], 0b11 << 62);
+    }
+
+    #[test]
+    fn min_max_read_each_container_kind() {
+        let array: RoaringBitmap = [70_000u32, 70_005, 99_999].into_iter().collect();
+        assert_eq!((array.min(), array.max()), (Some(70_000), Some(99_999)));
+        let bitmap: RoaringBitmap = (65_600..131_000u32).step_by(2).collect();
+        assert!(matches!(bitmap.containers[0].1, Container::Bitmap(_)));
+        assert_eq!((bitmap.min(), bitmap.max()), (Some(65_600), Some(130_998)));
+        let mut run: RoaringBitmap = (200_001..210_000u32).collect();
+        run.run_optimize();
+        assert!(matches!(run.containers[0].1, Container::Run(_)));
+        assert_eq!((run.min(), run.max()), (Some(200_001), Some(209_999)));
+        let mixed = mixed_kinds();
+        assert_eq!((mixed.min(), mixed.max()), (Some(0), Some(262_140)));
+        assert_eq!(
+            (RoaringBitmap::new().min(), RoaringBitmap::new().max()),
+            (None, None)
+        );
+    }
+
+    #[test]
+    fn select_every_matches_sorted_ranks() {
+        let bm = mixed_kinds();
+        let all = bm.to_vec();
+        for step in [1usize, 2, 63, 64, 1000, 4096, all.len(), all.len() + 1] {
+            let want: Vec<u32> = all.iter().copied().skip(step).step_by(step).collect();
+            assert_eq!(bm.select_every(step), want, "step {step}");
+        }
     }
 
     fn model_check(values: &[u32], other: &[u32]) {

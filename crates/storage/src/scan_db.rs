@@ -1,10 +1,9 @@
 //! The conventional comparator engine: full scans with compiled per-row
 //! predicates and dense-array aggregation. This stands in for the paper's
-//! PostgreSQL backend (see DESIGN.md, substitution 1): it has no bitmap
-//! indexes, so it must visit every row, but its aggregation path is
-//! cardinality-aware (dense group arrays up to a large limit), which is
-//! what lets it overtake the bitmap engine at 100% selectivity with many
-//! groups (Figure 7.5a).
+//! PostgreSQL backend: it has no bitmap indexes, so it must visit every
+//! row, but its aggregation path is cardinality-aware (dense group
+//! arrays up to a large limit), which is what lets it overtake the
+//! bitmap engine at 100% selectivity with many groups (Figure 7.5a).
 //!
 //! The table lives behind an `RwLock<Arc<Table>>`: queries clone the
 //! current snapshot (cheap Arc bump) and scan it lock-free, while

@@ -14,10 +14,14 @@
 use proptest::prelude::*;
 use std::sync::Arc;
 use zv_storage::cache::CacheStats;
-use zv_storage::exec::ParallelConfig;
+use zv_storage::exec::{
+    aggregate_ctx, aggregate_morsel_ctx, compile_pred, ParallelConfig, RowSource, CHUNK_ROWS,
+    MORSEL_ROWS,
+};
 use zv_storage::{
-    BitmapDb, BitmapDbConfig, CacheConfig, CancelReason, Column, DataType, Database, Field,
-    QueryCtx, ScanDb, ScanDbConfig, Schema, StorageError, Table, TableBuilder, Value, XSpec, YSpec,
+    Atom, BitmapDb, BitmapDbConfig, CacheConfig, CancelReason, CmpOp, Column, DataType, Database,
+    Field, GroupStrategy, QueryCtx, RoaringBitmap, ScanDb, ScanDbConfig, Schema, StorageError,
+    Table, TableBuilder, Value, XSpec, YSpec,
 };
 use zv_storage::{Predicate, SelectQuery};
 
@@ -165,6 +169,53 @@ fn default_config_scan_cancels_under_any_scheduling() {
     let err = db.execute_ctx(&groupby(), &ctx).unwrap_err();
     assert_eq!(err, StorageError::Cancelled);
     assert!(ctx.stats().rows_scanned < MILLION as u64);
+}
+
+/// A cancelled `BitmapFiltered` scan stops between windows. The bitmap
+/// holds every 37th row of the million-row table (at most 111 members
+/// per 4096-row window) and the residual filters on `val`. Once the row
+/// budget trips, each scanning worker finishes at most the window it is
+/// in — serially, and with two workers claiming bitmap morsels.
+#[test]
+fn bitmap_filtered_scan_cancels_between_windows() {
+    let table = million_row_table();
+    let bm: RoaringBitmap = (0..MILLION as u32).step_by(37).collect();
+    let residual = Predicate::atom(Atom::NumCmp {
+        col: "val".into(),
+        op: CmpOp::Ge,
+        value: 10.0,
+    });
+    let per_window = CHUNK_ROWS.div_ceil(37) as u64;
+    const BUDGET: u64 = 5_000;
+    for workers in [1u64, 2] {
+        let source = RowSource::BitmapFiltered {
+            rows: bm.clone(),
+            pred: compile_pred(&table, &residual).unwrap(),
+        };
+        let ctx = QueryCtx::new().with_row_budget(BUDGET);
+        let err = if workers == 1 {
+            aggregate_ctx(&table, &groupby(), &source, GroupStrategy::Dense, &ctx).map(|_| ())
+        } else {
+            aggregate_morsel_ctx(
+                &table,
+                &groupby(),
+                &source,
+                GroupStrategy::Dense,
+                2,
+                MORSEL_ROWS,
+                &ctx,
+            )
+            .map(|_| ())
+        }
+        .unwrap_err();
+        assert_eq!(err, StorageError::Cancelled);
+        let visited = ctx.stats().rows_scanned;
+        assert_eq!(ctx.stats().reason, Some(CancelReason::RowBudget));
+        assert!(
+            (BUDGET..BUDGET + workers * per_window).contains(&visited),
+            "{workers} worker(s) visited {visited} rows for a budget of {BUDGET}"
+        );
+    }
 }
 
 /// An already-expired deadline cancels before a single row is visited.

@@ -17,6 +17,10 @@
 //! * `execute_range` delta scans whose `[start, end)` straddles sealed
 //!   encoded-chunk boundaries (the IVM tick path) — the range decoder
 //!   must enter and leave RLE runs and bit-packed words mid-chunk;
+//! * `BitmapFiltered` row sources (bitmap candidates plus a residual
+//!   filter) scanned straight through `exec`, serial and morsel, where
+//!   the residual's window masks are evaluated over packed and RLE
+//!   chunks under a sparse source mask;
 //! * a `FaultPoint::ChunkScanPanic` chaos case over packed chunks:
 //!   injected worker panics on a force-encoded table fail cleanly and
 //!   the retried query still returns the plain table's exact result.
@@ -24,12 +28,14 @@
 use proptest::prelude::*;
 use std::sync::Arc;
 use zv_storage::column::EncodePolicy;
-use zv_storage::exec::ParallelConfig;
+use zv_storage::exec::{
+    aggregate, aggregate_morsel, compile_pred, group_space, ParallelConfig, RowSource,
+};
 use zv_storage::fault::{self, FaultPoint, FaultSpec, PANIC_MARKER};
 use zv_storage::{
-    Agg, Atom, BitmapDb, BitmapDbConfig, CmpOp, DataType, Database, DynDatabase, Field, Predicate,
-    QueryCtx, ScanDb, ScanDbConfig, Schema, SelectQuery, StorageError, Table, TableBuilder, Value,
-    XSpec, YSpec,
+    Agg, Atom, BitmapDb, BitmapDbConfig, CmpOp, DataType, Database, DynDatabase, Field,
+    GroupStrategy, Predicate, QueryCtx, RoaringBitmap, ScanDb, ScanDbConfig, Schema, SelectQuery,
+    StorageError, Table, TableBuilder, Value, XSpec, YSpec,
 };
 
 /// One run of identical rows. Runs are what make the generated data
@@ -287,6 +293,61 @@ proptest! {
                 &got, &reference,
                 "range [{}, {}) diverged on {}", start, end, &label
             );
+        }
+    }
+}
+
+fn bitmap_filtered<'t>(t: &'t Table, bm: &RoaringBitmap, residual: &Predicate) -> RowSource<'t> {
+    RowSource::BitmapFiltered {
+        rows: bm.clone(),
+        pred: compile_pred(t, residual).unwrap(),
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(48))]
+
+    /// `BitmapFiltered` sources over force-encoded chunks: the query's
+    /// predicate runs as the residual of a bitmap of candidate rows, so
+    /// packed/RLE chunk kernels see sparse, ragged source masks. Serial
+    /// and morsel scans of the force build must equal the plain build's
+    /// serial scan bit for bit, and visit exactly the bitmap's rows.
+    #[test]
+    fn bitmap_filtered_sources_over_encoded_chunks(
+        runs in arb_runs(),
+        query in arb_query(),
+        stride in 1u32..5,
+        phase in 0u32..7,
+    ) {
+        let rows = flatten(&runs);
+        let plain = build(&rows, EncodePolicy::off());
+        let force = build(&rows, EncodePolicy::force());
+        if rows.len() >= 128 {
+            assert_sealed_encoded(&force);
+        }
+        let bm: RoaringBitmap = (0..rows.len() as u32)
+            .filter(|r| (r / 7 + r + phase) % stride == 0)
+            .collect();
+        let source = |t| bitmap_filtered(t, &bm, &query.predicate);
+        // Dense only where the engines would pick it: wild years make
+        // key spaces far too wide for a dense array.
+        let dense = group_space(&plain, &query).unwrap() <= 1 << 16;
+        let strategies = [GroupStrategy::Hash, GroupStrategy::Dense];
+        for strategy in strategies.into_iter().take(1 + dense as usize) {
+            let (reference, visited) =
+                aggregate(&plain, &query, &source(&plain), strategy).unwrap();
+            prop_assert_eq!(visited, bm.len());
+            let (serial, serial_visited) =
+                aggregate(&force, &query, &source(&force), strategy).unwrap();
+            prop_assert_eq!(&serial, &reference, "serial over force diverged");
+            prop_assert_eq!(serial_visited, visited);
+            for morsel_rows in [64usize, 257] {
+                let (mor, mor_visited, _) =
+                    aggregate_morsel(&force, &query, &source(&force), strategy, 3, morsel_rows)
+                        .unwrap();
+                prop_assert_eq!(&mor, &reference, "morsel({}) over force diverged", morsel_rows);
+                prop_assert_eq!(mor_visited, visited);
+            }
         }
     }
 }

@@ -428,3 +428,90 @@ fn production_morsel_size_multi_morsel_scan() {
         assert_eq!(m.per_worker.iter().sum::<u64>(), 3);
     }
 }
+
+/// Bitmap sources over more than two roaring containers, one of each
+/// kind: an Array container (every 37th row of rows 0..65 536), a
+/// Bitmap container (two rows in three of 65 536..131 072) and a Run
+/// container (one contiguous run from 131 072 on, after
+/// `run_optimize`). Bitmap morsels are cut at word boundaries after
+/// about `morsel_rows` members, so small morsels start mid-container
+/// and their 4096-row windows straddle the 65 536-row container
+/// boundaries; production-size morsels span whole containers. Serial
+/// and morsel scans must agree bit for bit, with and without a
+/// residual filter.
+#[test]
+fn bitmap_sources_across_container_kinds() {
+    let rows = 150_000u32;
+    let table = clustered_table(rows as usize, 5);
+    let array = (0..65_536u32).step_by(37);
+    let dense = (65_536..131_072u32).filter(|r| r % 3 != 0);
+    let mut bm: RoaringBitmap = array
+        .clone()
+        .chain(dense.clone())
+        .chain(131_072..rows)
+        .collect();
+    bm.run_optimize();
+    // Container footprints (2-byte key + payload) prove the three
+    // kinds: Array 2 B per member, Bitmap 8 KiB, Run 4 B per run.
+    assert_eq!(
+        bm.size_bytes(),
+        (2 + 2 * array.count()) + (2 + 8192) + (2 + 4)
+    );
+    assert_eq!(
+        bm.len() as usize,
+        1772 + dense.count() + (rows as usize - 131_072)
+    );
+
+    let query = all_agg_query().with_z("product").with_z("location");
+    let residual = Predicate::atom(Atom::NumCmp {
+        col: "sales".into(),
+        op: CmpOp::Ge,
+        value: -20.0,
+    });
+    let make = |filtered: bool| {
+        if filtered {
+            RowSource::BitmapFiltered {
+                rows: bm.clone(),
+                pred: compile_pred(&table, &residual).unwrap(),
+            }
+        } else {
+            RowSource::Bitmap(bm.clone())
+        }
+    };
+    for (label, filtered) in [("bitmap", false), ("bitmap+residual", true)] {
+        for strategy in [GroupStrategy::Dense, GroupStrategy::Hash] {
+            let (serial, scanned) = aggregate(&table, &query, &make(filtered), strategy).unwrap();
+            assert_eq!(
+                scanned,
+                bm.len(),
+                "{label}: rows visited are the bitmap's members"
+            );
+            for morsel_rows in [64usize, 257, zv_storage::exec::MORSEL_ROWS] {
+                for threads in [2usize, 3] {
+                    let (mor, mor_scanned, metrics) = aggregate_morsel(
+                        &table,
+                        &query,
+                        &make(filtered),
+                        strategy,
+                        threads,
+                        morsel_rows,
+                    )
+                    .unwrap();
+                    assert_eq!(
+                        mor, serial,
+                        "{label} {strategy:?} × {threads} × {morsel_rows}"
+                    );
+                    assert_eq!(mor_scanned, scanned);
+                    // Morsels are sized by members, not by row space.
+                    let morsels = metrics.expect("fans out").morsels as usize;
+                    let want = bm.len().div_ceil(morsel_rows as u64) as usize;
+                    assert!(
+                        morsels <= want && morsels * 2 >= want,
+                        "{label}: {morsels} morsels of {morsel_rows} for {} members",
+                        bm.len()
+                    );
+                }
+            }
+        }
+    }
+}
