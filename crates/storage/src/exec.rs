@@ -341,11 +341,18 @@ impl CAtom<'_> {
                     |v| op.eval_f64(v as f64, value),
                 );
             }
+            // One arm per operator, so each lane loop is a bare
+            // comparison rather than a per-lane `match` on the operator.
             CAtom::NumCmpF { vals, op, value } => {
-                let (op, value) = (*op, *value);
-                and_lanes(mask, 0, end - start, |i| {
-                    op.eval_f64(vals[start + i], value)
-                });
+                let (v, t) = (&vals[start..end], *value);
+                match op {
+                    CmpOp::Eq => and_lanes(mask, 0, v.len(), |i| v[i] == t),
+                    CmpOp::Neq => and_lanes(mask, 0, v.len(), |i| v[i] != t),
+                    CmpOp::Lt => and_lanes(mask, 0, v.len(), |i| v[i] < t),
+                    CmpOp::Le => and_lanes(mask, 0, v.len(), |i| v[i] <= t),
+                    CmpOp::Gt => and_lanes(mask, 0, v.len(), |i| v[i] > t),
+                    CmpOp::Ge => and_lanes(mask, 0, v.len(), |i| v[i] >= t),
+                }
             }
             CAtom::BetweenI { vals, lo, hi } => {
                 let (plo, phi) = (*lo, *hi);
