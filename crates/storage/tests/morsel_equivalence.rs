@@ -455,11 +455,11 @@ fn bitmap_sources_across_container_kinds() {
     // kinds: Array 2 B per member, Bitmap 8 KiB, Run 4 B per run.
     assert_eq!(
         bm.size_bytes(),
-        (2 + 2 * array.count()) + (2 + 8192) + (2 + 4)
+        (2 + 2 * array.clone().count()) + (2 + 8192) + (2 + 4)
     );
     assert_eq!(
         bm.len() as usize,
-        1772 + dense.count() + (rows as usize - 131_072)
+        array.count() + dense.count() + (rows as usize - 131_072)
     );
 
     let query = all_agg_query().with_z("product").with_z("location");
