@@ -48,8 +48,8 @@ fn dataset() -> Arc<zv_storage::Table> {
 
 /// Engine with a fault-free scan path — the only injection in this
 /// suite is the *server's* ConnDrop spec, proving the two specs are
-/// independent.
-fn clean_engine() -> Arc<ZqlEngine> {
+/// independent. `request_overhead` is slept once per request.
+fn clean_engine(request_overhead: Duration) -> Arc<ZqlEngine> {
     Arc::new(ZqlEngine::new(Arc::new(BitmapDb::with_config(
         dataset(),
         BitmapDbConfig {
@@ -59,11 +59,19 @@ fn clean_engine() -> Arc<ZqlEngine> {
                 morsel_rows: 4096,
                 ..Default::default()
             },
+            request_overhead,
             cache: CacheConfig::admit_all(),
             ..Default::default()
         },
     ))))
 }
+
+/// Per-request overhead of the served engine. Every request takes at
+/// least this long, so the victim's second query is still in flight —
+/// queued behind the first, or inside its own overhead — when ConnDrop
+/// fires on response 0, however fast the scan itself is. Without it the
+/// query could complete before the drop, leaving `sessions_lost` at 0.
+const SERVED_OVERHEAD: Duration = Duration::from_millis(150);
 
 fn slider_text(threshold: f64) -> String {
     format!("name | x | y | constraints\n*f1 | 'year' | 'sales' | sales > {threshold}")
@@ -89,7 +97,7 @@ struct Ledger {
 /// the *new* query is still in flight. A second client then proves the
 /// pool and cache survived.
 fn run_scenario() -> Ledger {
-    let engine = clean_engine();
+    let engine = clean_engine(SERVED_OVERHEAD);
     let srv = NetServer::start(
         Arc::clone(&engine),
         "127.0.0.1:0",
@@ -146,7 +154,7 @@ fn run_scenario() -> Ledger {
     let Response::Result { tables, .. } = resp else {
         panic!("expected a result, got {resp:?}");
     };
-    let reference = clean_engine()
+    let reference = clean_engine(Duration::ZERO)
         .execute_text(&slider_text(3.0))
         .expect("reference");
     let ref_points = reference.visualizations[0].series.points();
@@ -287,7 +295,7 @@ fn stalled_readers_hit_the_deadline_and_free_their_slots() {
 
     let run = || {
         let srv = NetServer::start(
-            clean_engine(),
+            clean_engine(Duration::ZERO),
             "127.0.0.1:0",
             NetServerConfig {
                 read_deadline: Some(DEADLINE),
@@ -373,7 +381,7 @@ fn stalled_readers_hit_the_deadline_and_free_their_slots() {
 fn reaped_stall_slot_admits_the_next_client() {
     const DEADLINE: Duration = Duration::from_millis(150);
     let srv = NetServer::start(
-        clean_engine(),
+        clean_engine(Duration::ZERO),
         "127.0.0.1:0",
         NetServerConfig {
             max_connections: 1,
@@ -424,7 +432,7 @@ fn reaped_stall_slot_admits_the_next_client() {
 fn silent_pre_handshake_connection_is_reaped_and_frees_its_slot() {
     const DEADLINE: Duration = Duration::from_millis(150);
     let srv = NetServer::start(
-        clean_engine(),
+        clean_engine(Duration::ZERO),
         "127.0.0.1:0",
         NetServerConfig {
             max_connections: 1,
