@@ -1,46 +1,40 @@
 //! The Roaring Bitmap Database (thesis §6.2): a column store that keeps
 //! one roaring bitmap per distinct value of every indexed column, answers
-//! selection predicates with bitmap algebra, and aggregates by iterating
+//! selection predicates with bitmap algebra, and aggregates by visiting
 //! only qualifying rows.
 //!
 //! Per the paper's default policy, every categorical column is indexed
-//! and measure columns are left unindexed; we additionally index
-//! low-cardinality integer columns (year, month, ...) because they appear
-//! as equality predicates in the canonical query.
+//! and measure columns are left unindexed; we additionally index integer
+//! columns spanning at most [`INT_INDEX_MAX_CARD`] values (year, month,
+//! ...) because they appear as equality predicates in the canonical
+//! query.
 //!
-//! Table and indexes live together in one immutable `BitmapState`
-//! snapshot (shared via `Arc`), so they always describe the same data and
-//! queries scan lock-free. Appends copy-on-write the next snapshot
-//! (bumping the table version, which retires every cached result — see
-//! [`crate::cache`]) and refresh the indexes *incrementally*: appended
-//! row ids are strictly ascending, so each new row is an O(1)
-//! `push_ascending` into its value bitmap; only an integer column whose
-//! value range grew out of its existing code space pays a full
-//! per-column rebuild.
+//! `BitmapDb` is the shared [`Engine`] core with this module's bitmap
+//! index as its row index: state, appends, durability and pinning are
+//! described in [`crate::engine`]. The index is derived state, rebuilt
+//! on open and refreshed *incrementally* on append: appended row ids are
+//! strictly ascending, so each new row is an O(1) `push_ascending` into
+//! its value bitmap; only an integer column whose value range grew out
+//! of its existing code space pays a full per-column rebuild.
 
-use crate::cache::{CacheConfig, ResultCache};
+use crate::cache::CacheConfig;
 use crate::column::Column;
-use crate::db::{Database, EngineSnapshot};
-use crate::exec::{self, compile_pred, RowSource};
-use crate::lifecycle::QueryCtx;
-use crate::persist::{PersistOptions, Persistence};
+use crate::engine::{Engine, EngineConfig};
+use crate::exec::{compile_pred, ParallelConfig, RowSource};
 use crate::predicate::{Atom, CmpOp, Predicate};
-use crate::query::{ResultTable, SelectQuery};
 use crate::roaring::RoaringBitmap;
-use crate::stats::ExecStats;
 use crate::table::{StorageError, Table};
-use crate::value::Value;
 use std::collections::{HashMap, HashSet};
-use std::path::{Path, PathBuf};
-use std::sync::{Arc, Mutex, RwLock};
 use std::time::Duration;
 
-/// Tuning knobs for [`BitmapDb`].
+/// In-memory database with roaring-bitmap secondary indexes.
+pub type BitmapDb = Engine<BitmapDbConfig>;
+
+/// Tuning knobs for [`BitmapDb`]: the fields of
+/// [`ScanDbConfig`](crate::ScanDbConfig), with a smaller default
+/// `dense_group_limit`.
 #[derive(Clone, Debug)]
 pub struct BitmapDbConfig {
-    /// Integer columns with at most this many distinct values also get
-    /// bitmap indexes.
-    pub int_index_max_card: usize,
     /// Group-key spaces up to this size use dense accumulation; beyond it
     /// the engine pays a hash lookup per row — the behaviour the paper
     /// observed "as the number of groups increases" (Figure 7.5a).
@@ -48,13 +42,9 @@ pub struct BitmapDbConfig {
     /// Simulated client↔server round-trip latency added per request
     /// (a stand-in for the paper's networked PostgreSQL).
     pub request_overhead: Duration,
-    /// Run-optimize indexes after build (RLE compression).
-    pub run_optimize: bool,
-    /// Parallel-scan tuning (thread count, serial threshold, morsel
-    /// size). The default consults the `ZV_SCHED_*` environment
-    /// overrides ([`exec::ParallelConfig::from_env`]) so CI can force a
-    /// scheduling configuration across whole test suites.
-    pub parallel: exec::ParallelConfig,
+    /// Parallel-scan tuning; the default consults the `ZV_SCHED_*`
+    /// environment overrides ([`ParallelConfig::from_env`]).
+    pub parallel: ParallelConfig,
     /// Engine-level result cache bounds ([`CacheConfig::disabled`] turns
     /// the cache off, e.g. for raw-engine benchmarks).
     pub cache: CacheConfig,
@@ -63,11 +53,9 @@ pub struct BitmapDbConfig {
 impl Default for BitmapDbConfig {
     fn default() -> Self {
         BitmapDbConfig {
-            int_index_max_card: 4096,
             dense_group_limit: 1 << 10,
             request_overhead: Duration::ZERO,
-            run_optimize: true,
-            parallel: exec::ParallelConfig::from_env(),
+            parallel: ParallelConfig::from_env(),
             cache: CacheConfig::default(),
         }
     }
@@ -83,6 +71,23 @@ impl BitmapDbConfig {
         }
     }
 }
+
+impl EngineConfig for BitmapDbConfig {
+    const NAME: &'static str = "roaring-bitmap-db";
+    const INDEXED: bool = true;
+
+    fn parts(&self) -> (u128, Duration, ParallelConfig, &CacheConfig) {
+        (
+            self.dense_group_limit,
+            self.request_overhead,
+            self.parallel,
+            &self.cache,
+        )
+    }
+}
+
+/// Integer columns spanning at most this many values get bitmap indexes.
+pub const INT_INDEX_MAX_CARD: u128 = 4096;
 
 /// One indexed column: a bitmap of row ids per distinct-value code.
 #[derive(Clone)]
@@ -112,10 +117,11 @@ impl ColumnIndex {
     }
 }
 
-/// One consistent snapshot: the table plus the indexes built over it.
+/// The bitmap row index of one table version: a [`ColumnIndex`] per
+/// indexed column. Each bitmap is run-optimized (RLE) where runs
+/// compress better.
 #[derive(Clone)]
-struct BitmapState {
-    table: Arc<Table>,
+pub(crate) struct BitmapIndex {
     indexes: HashMap<String, ColumnIndex>,
     /// Int columns whose value range already exceeded the cardinality
     /// budget. A column's range only ever grows, so once a build fails it
@@ -124,16 +130,14 @@ struct BitmapState {
     unindexable: HashSet<String>,
 }
 
-fn build_cat_index(c: &crate::column::CatColumn, run_optimize: bool) -> ColumnIndex {
+fn build_cat_index(c: &crate::column::CatColumn) -> ColumnIndex {
     let mut bitmaps: Vec<RoaringBitmap> =
         (0..c.cardinality()).map(|_| RoaringBitmap::new()).collect();
     c.codes().for_each_range(0, c.len(), |row, code| {
         bitmaps[code as usize].push_ascending(row as u32);
     });
-    if run_optimize {
-        for bm in &mut bitmaps {
-            bm.run_optimize();
-        }
+    for bm in &mut bitmaps {
+        bm.run_optimize();
     }
     ColumnIndex {
         bitmaps,
@@ -142,13 +146,13 @@ fn build_cat_index(c: &crate::column::CatColumn, run_optimize: bool) -> ColumnIn
     }
 }
 
-fn build_int_index(v: &crate::column::IntColumn, config: &BitmapDbConfig) -> Option<ColumnIndex> {
+fn build_int_index(v: &crate::column::IntColumn) -> Option<ColumnIndex> {
     // Chunk-stat fold: O(chunks + tail), not a full O(n) value scan.
     let (lo, hi) = v.minmax(0, v.len())?;
     // i128 arithmetic: the value range can exceed i64 (e.g. a sentinel
     // near i64::MAX next to negative values).
     let card = (hi as i128 - lo as i128 + 1) as u128;
-    if card > config.int_index_max_card as u128 {
+    if card > INT_INDEX_MAX_CARD {
         return None;
     }
     let mut bitmaps: Vec<RoaringBitmap> =
@@ -156,45 +160,14 @@ fn build_int_index(v: &crate::column::IntColumn, config: &BitmapDbConfig) -> Opt
     v.for_each_range(0, v.len(), |row, val| {
         bitmaps[(val - lo) as usize].push_ascending(row as u32);
     });
-    if config.run_optimize {
-        for bm in &mut bitmaps {
-            bm.run_optimize();
-        }
+    for bm in &mut bitmaps {
+        bm.run_optimize();
     }
     Some(ColumnIndex {
         bitmaps,
         int_min: lo,
         is_int: true,
     })
-}
-
-fn build_state(table: Arc<Table>, config: &BitmapDbConfig) -> BitmapState {
-    let mut indexes = HashMap::new();
-    let mut unindexable = HashSet::new();
-    for field in table.schema().fields() {
-        match table.column(&field.name).unwrap() {
-            Column::Cat(c) => {
-                indexes.insert(field.name.clone(), build_cat_index(c, config.run_optimize));
-            }
-            Column::Int(v) => match build_int_index(v, config) {
-                Some(ix) => {
-                    indexes.insert(field.name.clone(), ix);
-                }
-                // Empty columns may become indexable after an append;
-                // budget-exceeding ones never can (the range only grows).
-                None if !v.is_empty() => {
-                    unindexable.insert(field.name.clone());
-                }
-                None => {}
-            },
-            Column::Float(_) => {}
-        }
-    }
-    BitmapState {
-        table,
-        indexes,
-        unindexable,
-    }
 }
 
 /// Sorted, deduplicated code list of one append batch (so each touched
@@ -206,15 +179,50 @@ fn dedup_codes(codes: impl Iterator<Item = usize>) -> Vec<usize> {
     out
 }
 
-impl BitmapState {
+fn all_rows(table: &Table) -> RoaringBitmap {
+    RoaringBitmap::from_sorted_iter(0..table.num_rows() as u32)
+}
+
+impl BitmapIndex {
+    pub(crate) fn build(table: &Table) -> BitmapIndex {
+        let mut indexes = HashMap::new();
+        let mut unindexable = HashSet::new();
+        for field in table.schema().fields() {
+            match table.column(&field.name).unwrap() {
+                Column::Cat(c) => {
+                    indexes.insert(field.name.clone(), build_cat_index(c));
+                }
+                Column::Int(v) => match build_int_index(v) {
+                    Some(ix) => {
+                        indexes.insert(field.name.clone(), ix);
+                    }
+                    // Empty columns may become indexable after an append;
+                    // budget-exceeding ones never can (the range only grows).
+                    None if !v.is_empty() => {
+                        unindexable.insert(field.name.clone());
+                    }
+                    None => {}
+                },
+                Column::Float(_) => {}
+            }
+        }
+        BitmapIndex {
+            indexes,
+            unindexable,
+        }
+    }
+
+    pub(crate) fn is_indexed(&self, col: &str) -> bool {
+        self.indexes.contains_key(col)
+    }
+
     /// Bring the indexes up to date after rows `old_rows..` were appended
-    /// to `self.table`. Appended row ids are ascending and larger than
+    /// to `table`. Appended row ids are ascending and larger than
     /// anything indexed, so the common case is an O(1) tail append per
     /// row; an integer index whose value range grew falls back to a full
     /// per-column rebuild (or is dropped if it outgrew the cardinality
     /// budget — residual predicate scans stay correct without it).
-    fn refresh_indexes(&mut self, old_rows: usize, config: &BitmapDbConfig) {
-        let table = &self.table;
+    pub(crate) fn refresh(&mut self, table: &Table, old_rows: usize) {
         let indexes = &mut self.indexes;
         let unindexable = &mut self.unindexable;
         for field in table.schema().fields() {
@@ -232,12 +240,10 @@ impl BitmapState {
                         ix.bitmaps[code as usize].push_ascending(row as u32);
                         batch.push(code as usize);
                     });
-                    if config.run_optimize {
-                        // Appends devolve run containers; re-compress
-                        // each bitmap this batch touched, once.
-                        for code in dedup_codes(batch.into_iter()) {
-                            ix.bitmaps[code].run_optimize();
-                        }
+                    // Appends devolve run containers; re-compress each
+                    // bitmap this batch touched, once.
+                    for code in dedup_codes(batch.into_iter()) {
+                        ix.bitmaps[code].run_optimize();
                     }
                 }
                 Column::Int(v) => {
@@ -264,12 +270,10 @@ impl BitmapState {
                                 ix.bitmaps[(val - int_min) as usize].push_ascending(row as u32);
                                 batch.push((val - int_min) as usize);
                             });
-                            if config.run_optimize {
-                                // Appends devolve run containers;
-                                // re-compress each touched bitmap, once.
-                                for code in dedup_codes(batch.into_iter()) {
-                                    ix.bitmaps[code].run_optimize();
-                                }
+                            // Appends devolve run containers;
+                            // re-compress each touched bitmap, once.
+                            for code in dedup_codes(batch.into_iter()) {
+                                ix.bitmaps[code].run_optimize();
                             }
                             continue;
                         }
@@ -277,7 +281,7 @@ impl BitmapState {
                     }
                     // Out-of-range append, or the column only now became
                     // indexable (e.g. it was empty at build time).
-                    match build_int_index(v, config) {
+                    match build_int_index(v) {
                         Some(ix) => {
                             indexes.insert(field.name.clone(), ix);
                         }
@@ -293,26 +297,26 @@ impl BitmapState {
     }
 
     /// Resolve one atom via the indexes, if possible.
-    fn atom_bitmap(&self, atom: &Atom) -> Option<RoaringBitmap> {
+    fn atom_bitmap(&self, table: &Table, atom: &Atom) -> Option<RoaringBitmap> {
         let ix = self.indexes.get(atom.column())?;
         match atom {
             Atom::CatEq { col, value } => {
-                let c = self.table.column(col).ok()?.as_cat()?;
+                let c = table.column(col).ok()?.as_cat()?;
                 match c.code_of(value) {
                     Some(code) => ix.lookup_cat(code).cloned(),
                     None => Some(RoaringBitmap::new()),
                 }
             }
             Atom::CatNeq { col, value } => {
-                let c = self.table.column(col).ok()?.as_cat()?;
-                let all = self.all_rows();
+                let c = table.column(col).ok()?.as_cat()?;
+                let all = all_rows(table);
                 match c.code_of(value) {
                     Some(code) => Some(all.and_not(ix.lookup_cat(code)?)),
                     None => Some(all),
                 }
             }
             Atom::CatIn { col, values } => {
-                let c = self.table.column(col).ok()?.as_cat()?;
+                let c = table.column(col).ok()?.as_cat()?;
                 let mut acc = RoaringBitmap::new();
                 for v in values {
                     if let Some(code) = c.code_of(v) {
@@ -343,7 +347,7 @@ impl BitmapState {
                 Some(acc)
             }
             Atom::StrPrefix { col, prefix } => {
-                let c = self.table.column(col).ok()?.as_cat()?;
+                let c = table.column(col).ok()?.as_cat()?;
                 let mut acc = RoaringBitmap::new();
                 for (code, s) in c.dict().iter().enumerate() {
                     if s.starts_with(prefix.as_str()) {
@@ -356,27 +360,27 @@ impl BitmapState {
         }
     }
 
-    fn all_rows(&self) -> RoaringBitmap {
-        RoaringBitmap::from_sorted_iter(0..self.table.num_rows() as u32)
-    }
-
     /// Build the row source: bitmap-resolved atoms ANDed, residual atoms
     /// left as a per-row filter.
-    fn row_source(&self, pred: &Predicate) -> Result<RowSource<'_>, StorageError> {
-        let n = self.table.num_rows();
+    pub(crate) fn row_source<'t>(
+        &self,
+        table: &'t Table,
+        pred: &Predicate,
+    ) -> Result<RowSource<'t>, StorageError> {
+        let n = table.num_rows();
         match pred {
             Predicate::True => Ok(RowSource::All(n)),
             Predicate::And(atoms) => {
                 let mut bitmaps: Vec<RoaringBitmap> = Vec::new();
                 let mut residual: Vec<Atom> = Vec::new();
                 for a in atoms {
-                    match self.atom_bitmap(a) {
+                    match self.atom_bitmap(table, a) {
                         Some(bm) => bitmaps.push(bm),
                         None => residual.push(a.clone()),
                     }
                 }
                 if bitmaps.is_empty() {
-                    let pred = compile_pred(&self.table, &Predicate::And(residual.clone()))?;
+                    let pred = compile_pred(table, &Predicate::And(residual.clone()))?;
                     return Ok(RowSource::Filtered { n_rows: n, pred });
                 }
                 // AND cheapest-first.
@@ -391,7 +395,7 @@ impl BitmapState {
                 if residual.is_empty() {
                     Ok(RowSource::Bitmap(acc))
                 } else {
-                    let pred = compile_pred(&self.table, &Predicate::And(residual))?;
+                    let pred = compile_pred(table, &Predicate::And(residual))?;
                     Ok(RowSource::BitmapFiltered { rows: acc, pred })
                 }
             }
@@ -402,7 +406,7 @@ impl BitmapState {
                 for conj in disj {
                     let mut conj_bm: Option<RoaringBitmap> = None;
                     for a in conj {
-                        match self.atom_bitmap(a) {
+                        match self.atom_bitmap(table, a) {
                             Some(bm) => {
                                 conj_bm = Some(match conj_bm {
                                     Some(prev) => prev.and(&bm),
@@ -410,12 +414,12 @@ impl BitmapState {
                                 })
                             }
                             None => {
-                                let pred = compile_pred(&self.table, pred)?;
+                                let pred = compile_pred(table, pred)?;
                                 return Ok(RowSource::Filtered { n_rows: n, pred });
                             }
                         }
                     }
-                    acc = acc.or(&conj_bm.unwrap_or_else(|| self.all_rows()));
+                    acc = acc.or(&conj_bm.unwrap_or_else(|| all_rows(table)));
                 }
                 Ok(RowSource::Bitmap(acc))
             }
@@ -423,324 +427,11 @@ impl BitmapState {
     }
 }
 
-/// In-memory database with roaring-bitmap secondary indexes.
-///
-/// The snapshot lives behind `RwLock<Arc<BitmapState>>`: queries clone
-/// the `Arc` (a pointer bump) and scan lock-free, so a long scan never
-/// blocks an append and vice versa. Appends serialize on `append_lock`,
-/// build the next snapshot *outside* the reader-visible lock, and swap
-/// it in with a momentary write lock.
-pub struct BitmapDb {
-    state: RwLock<Arc<BitmapState>>,
-    /// Serializes mutations so two appends cannot base their snapshots
-    /// on the same predecessor (readers never touch this).
-    append_lock: Mutex<()>,
-    config: BitmapDbConfig,
-    /// Shared with pinned snapshots, so scan telemetry recorded during
-    /// snapshot execution lands on the engine's counters.
-    stats: Arc<ExecStats>,
-    cache: Option<Arc<ResultCache>>,
-    /// Durable-storage handle ([`BitmapDb::open_durable`]); `None` for
-    /// memory-only engines.
-    persist: Option<Arc<Persistence>>,
-}
-
-impl BitmapDb {
-    pub fn new(table: Arc<Table>) -> Self {
-        Self::with_config(table, BitmapDbConfig::default())
-    }
-
-    pub fn with_config(table: Arc<Table>, config: BitmapDbConfig) -> Self {
-        let cache = config.cache.is_enabled().then(|| {
-            Arc::new(ResultCache::with_fault(
-                &config.cache,
-                config.parallel.fault,
-            ))
-        });
-        Self::build(table, config, cache)
-    }
-
-    /// Construct with an explicitly shared cache (versioned keys keep
-    /// entries from different engines / snapshots apart).
-    pub fn with_shared_cache(
-        table: Arc<Table>,
-        config: BitmapDbConfig,
-        cache: Arc<ResultCache>,
-    ) -> Self {
-        Self::build(table, config, Some(cache))
-    }
-
-    fn build(table: Arc<Table>, config: BitmapDbConfig, cache: Option<Arc<ResultCache>>) -> Self {
-        BitmapDb {
-            state: RwLock::new(Arc::new(build_state(table, &config))),
-            append_lock: Mutex::new(()),
-            config,
-            stats: Arc::new(ExecStats::new()),
-            cache,
-            persist: None,
-        }
-    }
-
-    /// Open a durable engine on `dir`: recover the newest valid
-    /// snapshot plus the WAL tail (crash-exact — see [`crate::persist`]),
-    /// or seed a fresh directory with `init()` and checkpoint it. Every
-    /// committed append is WAL-logged and fsynced *before* it becomes
-    /// visible to queries, so the in-memory table version is always a
-    /// durable version. Bitmap indexes are rebuilt from the recovered
-    /// table — they are derived state and never hit the disk.
-    pub fn open_durable(
-        dir: impl AsRef<Path>,
-        config: BitmapDbConfig,
-        init: impl FnOnce() -> Arc<Table>,
-    ) -> Result<Self, StorageError> {
-        let (persistence, recovered) = Persistence::open(
-            dir,
-            PersistOptions {
-                fault: config.parallel.fault,
-            },
-        )?;
-        let table = match recovered {
-            Some(t) => Arc::new(t),
-            None => {
-                let t = init();
-                persistence.checkpoint(&t)?;
-                t
-            }
-        };
-        let mut db = Self::with_config(table, config);
-        db.persist = Some(Arc::new(persistence));
-        Ok(db)
-    }
-
-    /// The durable-storage handle, when this engine was opened with
-    /// [`BitmapDb::open_durable`].
-    pub fn persistence(&self) -> Option<&Persistence> {
-        self.persist.as_deref()
-    }
-
-    /// Write a full snapshot of the current table and reset the WAL.
-    /// Serialized against appends, so no committed batch can be lost
-    /// between the snapshot and the WAL reset.
-    pub fn checkpoint(&self) -> Result<PathBuf, StorageError> {
-        let persist = self
-            .persist
-            .as_ref()
-            .ok_or_else(|| StorageError::Io("engine has no data directory".into()))?;
-        let _appending = crate::fault::lock_recover(&self.append_lock);
-        let table = self.state().table.clone();
-        persist.checkpoint(&table)
-    }
-
-    pub fn config(&self) -> &BitmapDbConfig {
-        &self.config
-    }
-
-    fn state(&self) -> Arc<BitmapState> {
-        // Recover-or-proceed: the lock only ever guards an `Arc` swap,
-        // so a poisoned lock still holds an intact snapshot (either the
-        // old or the new state) — unwrapping would wedge the engine
-        // after any contained panic.
-        crate::fault::read_recover(&self.state).clone()
-    }
-
-    /// Poison the state lock by panicking while holding its write
-    /// guard — the chaos suite's hook for proving the engine recovers
-    /// (the guarded value is a plain `Arc`, so recovery is safe).
-    #[doc(hidden)]
-    pub fn poison_table_lock_for_chaos(&self) {
-        let _ = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            let _guard = self.state.write().unwrap_or_else(|p| p.into_inner());
-            panic!(
-                "{} deliberate state-lock poisoning",
-                crate::fault::PANIC_MARKER
-            );
-        }));
-    }
-
-    /// Total bytes held by bitmap indexes (compression reporting).
-    pub fn index_bytes(&self) -> usize {
-        self.state()
-            .indexes
-            .values()
-            .flat_map(|ix| ix.bitmaps.iter())
-            .map(RoaringBitmap::size_bytes)
-            .sum()
-    }
-
-    pub fn is_indexed(&self, col: &str) -> bool {
-        self.state().indexes.contains_key(col)
-    }
-
-    /// Swap in a mutated table built by `mutate` and refresh the indexes
-    /// incrementally; returns the appended row count. The table clone and
-    /// index refresh run outside the reader-visible lock — queries keep
-    /// scanning the old snapshot throughout.
-    fn mutate_table(
-        &self,
-        mutate: impl FnOnce(&mut Table) -> Result<usize, StorageError>,
-        log: impl FnOnce(&Persistence, &Table) -> Result<(), StorageError>,
-    ) -> Result<usize, StorageError> {
-        let _appending = crate::fault::lock_recover(&self.append_lock);
-        let current = self.state();
-        let mut table = (*current.table).clone();
-        let old_version = table.version();
-        let old_rows = table.num_rows();
-        let n = mutate(&mut table)?;
-        if n == 0 && table.version() == old_version {
-            return Ok(0);
-        }
-        // Durability before visibility: the batch must reach the WAL
-        // (fsynced, encoded straight from the caller's borrowed batch)
-        // before any reader can observe the new snapshot.
-        if let Some(persist) = &self.persist {
-            log(persist, &table)?;
-        }
-        let mut next = BitmapState {
-            table: Arc::new(table),
-            indexes: current.indexes.clone(),
-            unindexable: current.unindexable.clone(),
-        };
-        next.refresh_indexes(old_rows, &self.config);
-        *crate::fault::write_recover(&self.state) = Arc::new(next);
-        // The old version's cache entries are deliberately *kept*: they
-        // are unreachable for exact lookups (versioned keys) but serve
-        // as IVM merge ancestors for post-append queries; the LRU
-        // reclaims them once the workload moves on.
-        Ok(n)
-    }
-}
-
-/// A pinned [`BitmapDb`] view: one immutable [`BitmapState`] (table +
-/// the indexes built over exactly that table) plus the execution tuning
-/// frozen at pin time.
-struct BitmapSnapshot {
-    state: Arc<BitmapState>,
-    dense_group_limit: u128,
-    parallel: exec::ParallelConfig,
-    stats: Arc<ExecStats>,
-}
-
-impl EngineSnapshot for BitmapSnapshot {
-    fn table(&self) -> &Arc<Table> {
-        &self.state.table
-    }
-
-    fn execute(
-        &self,
-        query: &SelectQuery,
-        ctx: &QueryCtx,
-    ) -> Result<(ResultTable, u64), StorageError> {
-        let state = &self.state;
-        let source = state.row_source(&query.predicate)?;
-        let groups = exec::group_space(&state.table, query)?;
-        let strategy = exec::choose_strategy(groups, self.dense_group_limit);
-        // A degraded query (`QueryCtx::force_serial`, set by the retry
-        // ladder or the breaker) is pinned to the injection-free serial
-        // path no matter what the config would choose.
-        let threads = if ctx.serial_only() {
-            1
-        } else {
-            self.parallel.threads_for(source.estimated_rows())
-        };
-        exec::run_scheduled(
-            &state.table,
-            query,
-            &source,
-            strategy,
-            threads,
-            &self.parallel,
-            &self.stats,
-            ctx,
-        )
-    }
-
-    fn execute_range(
-        &self,
-        query: &SelectQuery,
-        ctx: &QueryCtx,
-        start: usize,
-        end: usize,
-    ) -> Result<(ResultTable, u64), StorageError> {
-        // A bounded delta range doesn't profit from bitmap algebra (the
-        // index covers the whole table, not the tail); compile the
-        // predicate as a residual filter like the scan engine does.
-        let table = &self.state.table;
-        debug_assert!(start <= end && end <= table.num_rows());
-        let pred = if query.predicate.is_true() {
-            None
-        } else {
-            Some(compile_pred(table, &query.predicate)?)
-        };
-        let source = RowSource::Range { start, end, pred };
-        let groups = exec::group_space_over(table, query, Some((start, end)))?;
-        let strategy = exec::choose_strategy(groups, self.dense_group_limit);
-        let threads = if ctx.serial_only() {
-            1
-        } else {
-            self.parallel.threads_for(source.estimated_rows())
-        };
-        exec::run_scheduled(
-            table,
-            query,
-            &source,
-            strategy,
-            threads,
-            &self.parallel,
-            &self.stats,
-            ctx,
-        )
-    }
-}
-
-impl Database for BitmapDb {
-    fn name(&self) -> &'static str {
-        "roaring-bitmap-db"
-    }
-
-    fn pin(&self) -> Arc<dyn EngineSnapshot> {
-        Arc::new(BitmapSnapshot {
-            state: self.state(),
-            dense_group_limit: self.config.dense_group_limit,
-            parallel: self.config.parallel,
-            stats: Arc::clone(&self.stats),
-        })
-    }
-
-    fn table(&self) -> Arc<Table> {
-        self.state().table.clone()
-    }
-
-    fn stats(&self) -> &ExecStats {
-        &self.stats
-    }
-
-    fn result_cache(&self) -> Option<&ResultCache> {
-        self.cache.as_deref()
-    }
-
-    fn append_rows(&self, rows: &[Vec<Value>]) -> Result<usize, StorageError> {
-        self.mutate_table(
-            |t| t.append_rows(rows),
-            |p, t| p.log_append(t.version(), t.schema(), rows),
-        )
-    }
-
-    fn append_table(&self, other: &Table) -> Result<usize, StorageError> {
-        self.mutate_table(
-            |t| t.append_table(other),
-            |p, t| p.log_append_table(t.version(), other),
-        )
-    }
-
-    fn request_overhead(&self) -> Duration {
-        self.config.request_overhead
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::query::{XSpec, YSpec};
+    use crate::db::Database;
+    use crate::query::{SelectQuery, XSpec, YSpec};
     use crate::table::{Field, Schema, TableBuilder};
     use crate::value::{DataType, Value};
 
@@ -787,7 +478,6 @@ mod tests {
         assert!(db.is_indexed("location"));
         assert!(db.is_indexed("year")); // card 2 ≤ 4096
         assert!(!db.is_indexed("sales")); // measure column unindexed
-        assert!(db.index_bytes() > 0);
     }
 
     #[test]

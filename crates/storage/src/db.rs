@@ -1,13 +1,14 @@
 //! The backend abstraction: "zenvisage can use as a backend any
-//! traditional relational database" (thesis §2). The ZQL executor only
-//! speaks [`Database`]; both shipped engines implement it.
+//! traditional relational database" (thesis §2). The ZQL executor, VEA
+//! and the server only speak [`Database`] (held as [`DynDatabase`]).
+//! Its one implementation is the shared engine core
+//! ([`crate::engine::Engine`]), used as `ScanDb` (no row index) and
+//! `BitmapDb` (a roaring-bitmap row index).
 //!
 //! # Snapshots and batch pinning
 //!
-//! Engines expose their state as immutable [`EngineSnapshot`]s
-//! ([`Database::pin`]): a pinned snapshot bundles the table version the
-//! engine serves *and whatever auxiliary structures answer queries over
-//! it* (the bitmap engine pins its indexes together with the table).
+//! [`Database::pin`] returns a [`Pinned`] version: one immutable table
+//! plus the row index built over exactly that table.
 //! [`Database::run_request`] pins **once per batch**, so every query of
 //! a batch — cache hits, derived hits, and fresh executions alike — is
 //! answered against the same table version even while appends race the
@@ -23,13 +24,14 @@
 //! cached superset result. A miss that still has a cached result at an
 //! *ancestor* table version — the table proving the gap is pure appends
 //! — is answered by incremental view maintenance: scan only the
-//! appended rows ([`EngineSnapshot::execute_range`]) and merge the
-//! delta into the cached aggregate. Results flow as `Arc<ResultTable>`
-//! end to end: a warm hit is a pointer bump, never a deep copy. See
+//! appended rows ([`Pinned::execute_range`]) and merge the delta into
+//! the cached aggregate. Results flow as `Arc<ResultTable>` end to end:
+//! a warm hit is a pointer bump, never a deep copy. See
 //! [`crate::cache`] for the version-key invalidation scheme, the
 //! subsumption rules, the IVM rules table, and cost-based admission.
 
 use crate::cache::{CacheKey, QueryKey, ResultCache};
+use crate::engine::Pinned;
 use crate::lifecycle::QueryCtx;
 use crate::query::{Agg, ResultTable, SelectQuery};
 use crate::stats::ExecStats;
@@ -37,48 +39,6 @@ use crate::table::{StorageError, Table};
 use crate::value::Value;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
-
-/// One immutable, internally consistent view of an engine's state: the
-/// table snapshot plus whatever the engine needs to answer queries over
-/// exactly that data (indexes, compiled metadata). Queries against one
-/// snapshot are mutually consistent by construction — appends only ever
-/// produce *new* snapshots.
-pub trait EngineSnapshot: Send + Sync {
-    /// The pinned table.
-    fn table(&self) -> &Arc<Table>;
-
-    /// Execute one canonical grouped-aggregate query against the pinned
-    /// state, returning the result and the number of rows scanned (the
-    /// result's recompute cost, which drives cache admission). The
-    /// query's [`QueryCtx`] is observed at the scan's cancellation
-    /// points (between morsel claims / between scan windows); a cancelled
-    /// query returns [`StorageError::Cancelled`] and discards its
-    /// partial state.
-    fn execute(
-        &self,
-        query: &SelectQuery,
-        ctx: &QueryCtx,
-    ) -> Result<(ResultTable, u64), StorageError>;
-
-    /// Execute `query` over only the contiguous row range `[start, end)`
-    /// of the pinned table — the IVM delta scan over rows appended
-    /// between two versions (see [`crate::cache`]'s IVM section). The
-    /// query's predicate is applied as a residual inside the range; the
-    /// returned scanned count is `end - start`. Engines that cannot
-    /// scan a sub-range decline with [`StorageError::Unsupported`] and
-    /// the caller falls back to a full recompute.
-    fn execute_range(
-        &self,
-        _query: &SelectQuery,
-        _ctx: &QueryCtx,
-        _start: usize,
-        _end: usize,
-    ) -> Result<(ResultTable, u64), StorageError> {
-        Err(StorageError::Unsupported(
-            "this engine cannot scan a row sub-range".into(),
-        ))
-    }
-}
 
 /// One committed IVM answer: the user-visible result plus the cache
 /// inserts (state and, for AVG queries, the finalized result) to apply
@@ -90,15 +50,15 @@ struct IvmAnswer {
 
 /// Try to answer an exact-key miss at `version` by delta-merging the
 /// appended row range into a cached ancestor-version result. `Ok(None)`
-/// declines (no mergeable form, no provable ancestor, engine cannot
-/// range-scan, or an injected merge fault) and the caller falls back to
+/// declines (no mergeable form, no provable ancestor, a failed delta
+/// scan, or an injected merge fault) and the caller falls back to
 /// a full scan; only cancellation is an error. On success the delta's
 /// visited rows are recorded as `ivm_rows_scanned` — deliberately *not*
 /// as `rows_scanned` or a query, so full-scan ledgers stay exact.
 fn try_ivm(
     stats: &ExecStats,
     cache: &ResultCache,
-    snap: &dyn EngineSnapshot,
+    snap: &Pinned,
     engine: &'static str,
     version: u64,
     query: &SelectQuery,
@@ -176,7 +136,7 @@ fn try_ivm(
 /// or, for a cancelled query, the `queries_cancelled` counter.
 fn execute_recorded(
     stats: &ExecStats,
-    snap: &dyn EngineSnapshot,
+    snap: &Pinned,
     query: &SelectQuery,
     ctx: &QueryCtx,
 ) -> Result<(ResultTable, u64), StorageError> {
@@ -200,16 +160,14 @@ pub trait Database: Send + Sync {
     /// engine half of result-cache keys).
     fn name(&self) -> &'static str;
 
-    /// Pin the engine's current state. Cheap (an `Arc` bump plus one
-    /// wrapper allocation); the returned snapshot stays valid and
-    /// unchanged however many appends land after it.
-    fn pin(&self) -> Arc<dyn EngineSnapshot>;
+    /// Pin the engine's current version. Cheap (two `Arc` bumps); the
+    /// returned snapshot stays valid and unchanged however many appends
+    /// land after it.
+    fn pin(&self) -> Pinned;
 
     /// The current snapshot of the relation this engine serves. Returned
-    /// by value because engines may swap the snapshot on append.
-    fn table(&self) -> Arc<Table> {
-        self.pin().table().clone()
-    }
+    /// by value because engines swap the snapshot on append.
+    fn table(&self) -> Arc<Table>;
 
     /// Execute one canonical grouped-aggregate query, bypassing the
     /// result cache (the raw path; also what equivalence tests compare
@@ -226,44 +184,31 @@ pub trait Database: Send + Sync {
         query: &SelectQuery,
         ctx: &QueryCtx,
     ) -> Result<ResultTable, StorageError> {
-        execute_recorded(self.stats(), &*self.pin(), query, ctx).map(|(rt, _)| rt)
+        execute_recorded(self.stats(), &self.pin(), query, ctx).map(|(rt, _)| rt)
     }
 
     /// Execution counters.
     fn stats(&self) -> &ExecStats;
 
     /// The engine-level result cache, if this engine carries one.
-    fn result_cache(&self) -> Option<&ResultCache> {
-        None
-    }
+    fn result_cache(&self) -> Option<&ResultCache>;
 
     /// Point-in-time counters of the result cache, if any.
     fn cache_stats(&self) -> Option<crate::cache::CacheStats> {
         self.result_cache().map(ResultCache::stats)
     }
 
-    /// Append rows to the relation. Mutating engines bump the table
-    /// version (invalidating cached results for free) and refresh their
-    /// indexes; the default implementation rejects the append.
-    fn append_rows(&self, _rows: &[Vec<Value>]) -> Result<usize, StorageError> {
-        Err(StorageError::Unsupported(
-            "this engine does not support appends".into(),
-        ))
-    }
+    /// Append rows to the relation: bumps the table version
+    /// (invalidating cached results for free) and refreshes the index.
+    fn append_rows(&self, rows: &[Vec<Value>]) -> Result<usize, StorageError>;
 
     /// Append a whole same-schema table. Same contract as
     /// [`Database::append_rows`].
-    fn append_table(&self, _other: &Table) -> Result<usize, StorageError> {
-        Err(StorageError::Unsupported(
-            "this engine does not support appends".into(),
-        ))
-    }
+    fn append_table(&self, other: &Table) -> Result<usize, StorageError>;
 
     /// Simulated round-trip latency per batched request, standing in
-    /// for the paper's client↔PostgreSQL round trip. Zero by default.
-    fn request_overhead(&self) -> Duration {
-        Duration::ZERO
-    }
+    /// for the paper's client↔PostgreSQL round trip.
+    fn request_overhead(&self) -> Duration;
 
     /// Execute a batch of queries as one round trip. The external
     /// optimizations of §5.2 work by shrinking the number of calls made
@@ -274,7 +219,7 @@ pub trait Database: Send + Sync {
     /// subsumption (both answered without touching a base row), then fan
     /// the true misses across the shared pool — multi-query batches use
     /// one worker per query, while a single missing query parallelizes
-    /// *inside* the scan (morsel-claimed; see `exec::run_scheduled`), so
+    /// *inside* the scan (morsel-claimed; see [`crate::exec::run`]), so
     /// the hardware is saturated either way.
     /// Fresh results are offered to
     /// the cache under the pinned snapshot's version at their scan cost
@@ -318,7 +263,7 @@ pub trait Database: Send + Sync {
         let snap = self.pin();
         let Some(cache) = self.result_cache() else {
             return crate::parallel::try_parallel_map(queries.len(), 0, |i| {
-                execute_recorded(self.stats(), &*snap, &queries[i], ctx).map(|(rt, _)| Arc::new(rt))
+                execute_recorded(self.stats(), &snap, &queries[i], ctx).map(|(rt, _)| Arc::new(rt))
             });
         };
         let version = snap.table().version();
@@ -338,7 +283,7 @@ pub trait Database: Send + Sync {
                 self.stats().record_cache_derived_hit();
                 results.push(Some(Arc::clone(&derived.result)));
                 derived_inserts.push((key, derived.result, derived.cost));
-            } else if let Some(ivm) = try_ivm(self.stats(), cache, &*snap, engine, version, q, ctx)?
+            } else if let Some(ivm) = try_ivm(self.stats(), cache, &snap, engine, version, q, ctx)?
             {
                 results.push(Some(Arc::clone(&ivm.result)));
                 derived_inserts.extend(ivm.inserts);
@@ -357,7 +302,7 @@ pub trait Database: Send + Sync {
         let fresh = crate::parallel::try_parallel_map(misses.len(), 0, |j| {
             let (i, _, form) = &misses[j];
             match form {
-                Some(f) => execute_recorded(self.stats(), &*snap, &f.state_query, ctx).map(
+                Some(f) => execute_recorded(self.stats(), &snap, &f.state_query, ctx).map(
                     |(state, scanned)| {
                         // `sum / n` on the very values the kernel's own
                         // finalize divides — bit-identical to executing
@@ -366,7 +311,7 @@ pub trait Database: Send + Sync {
                         (user, Some(state), scanned)
                     },
                 ),
-                None => execute_recorded(self.stats(), &*snap, &queries[*i], ctx)
+                None => execute_recorded(self.stats(), &snap, &queries[*i], ctx)
                     .map(|(rt, scanned)| (rt, None, scanned)),
             }
         })?;

@@ -83,7 +83,7 @@
 //! query's lifecycle handle (cancellation token, optional deadline,
 //! priority, per-query progress counters) threaded down from
 //! `ZqlEngine::execute_ctx` through `Database::run_request_ctx` and
-//! `EngineSnapshot::execute` into [`run_scheduled`]. Interactive callers
+//! `Pinned::execute` into [`run`]. Interactive callers
 //! (sliders, sketch re-issues, `zv-server`'s session supersession)
 //! cancel the ctx; the scan observes it at its natural boundaries:
 //!
@@ -1250,6 +1250,16 @@ pub enum GroupStrategy {
     Hash,
 }
 
+impl GroupStrategy {
+    /// The `dense_limit` under which [`build_plan`] always picks `self`.
+    fn forced_limit(self) -> u128 {
+        match self {
+            GroupStrategy::Dense => u128::MAX,
+            GroupStrategy::Hash => 0,
+        }
+    }
+}
+
 /// Tuning for the parallel (morsel-claiming) scan. Shared by both
 /// engines' configs.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -1483,23 +1493,38 @@ impl Accumulators {
     }
 }
 
+/// Widest key space a Dense plan may allocate slots for. It equals
+/// `ScanDb`'s default `dense_group_limit`, so no plan an engine picks by
+/// default is refused; an explicit Dense over a wider space returns
+/// [`StorageError::ResourceExhausted`] instead of aborting on the
+/// allocation.
+const DENSE_SLOT_CAP: u64 = 1 << 24;
+
 /// Everything derived from `(table, query)` that the scan needs:
 /// dimension encoders (z₁..z_k then x), composite-key strides, measure
-/// columns, and aggregate specs.
+/// columns, aggregate specs, and the slot strategy.
 struct GroupPlan<'a> {
     dims: Vec<DimEncoder<'a>>,
     strides: Vec<u64>,
     total: u64,
+    strategy: GroupStrategy,
     ys: Vec<YCol<'a>>,
     aggs: Vec<Agg>,
     need_minmax: bool,
 }
 
+/// Build the plan for `query` over `source`: Dense when the composite
+/// key space is at most `dense_limit` (the accumulator arrays stay
+/// cache-resident relative to the rows scanned), Hash above. Dimension
+/// statistics cover only the source's [`RowSource::stat_rows`]. This is
+/// the one place plan and strategy meet.
 fn build_plan<'a>(
     table: &'a Table,
     query: &SelectQuery,
-    rows: Option<(usize, usize)>,
+    source: &RowSource<'_>,
+    dense_limit: u128,
 ) -> Result<GroupPlan<'a>, StorageError> {
+    let rows = source.stat_rows();
     // Dimension order: z₁..z_k, then x innermost (stride 1).
     let mut dims: Vec<DimEncoder<'a>> = Vec::with_capacity(query.zs.len() + 1);
     for z in &query.zs {
@@ -1545,11 +1570,22 @@ fn build_plan<'a>(
             "group key space exceeds u64".into(),
         ));
     }
+    let strategy = if total <= dense_limit {
+        GroupStrategy::Dense
+    } else {
+        GroupStrategy::Hash
+    };
+    if strategy == GroupStrategy::Dense && total > DENSE_SLOT_CAP as u128 {
+        return Err(StorageError::ResourceExhausted(format!(
+            "dense aggregation over {total} group slots exceeds the cap of {DENSE_SLOT_CAP}"
+        )));
+    }
 
     Ok(GroupPlan {
         dims,
         strides,
         total: total as u64,
+        strategy,
         ys,
         aggs,
         need_minmax,
@@ -1606,8 +1642,9 @@ fn hash_consume(
 }
 
 impl<'p, 'a> ChunkAccumulator<'p, 'a> {
-    fn new(plan: &'p GroupPlan<'a>, strategy: GroupStrategy) -> Self {
+    fn new(plan: &'p GroupPlan<'a>) -> Self {
         let n_ys = plan.ys.len().max(1);
+        let strategy = plan.strategy;
         let acc = match strategy {
             GroupStrategy::Dense => Accumulators::new(plan.total as usize, n_ys, plan.need_minmax),
             GroupStrategy::Hash => Accumulators::new(0, n_ys, plan.need_minmax),
@@ -1671,7 +1708,9 @@ enum DenseOrHash {
 }
 
 /// Run the grouped aggregation for `query` over `source`, using the given
-/// strategy. Returns the ordered result and the number of rows visited.
+/// strategy. Returns the ordered result and the number of rows visited,
+/// or [`StorageError::ResourceExhausted`] for a Dense key space wider
+/// than 2²⁴ slots.
 pub fn aggregate(
     table: &Table,
     query: &SelectQuery,
@@ -1692,9 +1731,9 @@ pub fn aggregate_ctx(
     strategy: GroupStrategy,
     ctx: &QueryCtx,
 ) -> Result<(ResultTable, u64), StorageError> {
-    let plan = build_plan(table, query, source.stat_rows())?;
+    let plan = build_plan(table, query, source, strategy.forced_limit())?;
     ctx.check()?;
-    serial_run(query, &plan, source, table.num_rows(), strategy, ctx)
+    serial_run(query, &plan, source, table.num_rows(), ctx)
 }
 
 /// The serial accumulate-and-finalize body shared by [`aggregate_ctx`]
@@ -1705,10 +1744,9 @@ fn serial_run(
     plan: &GroupPlan<'_>,
     source: &RowSource<'_>,
     n_rows: usize,
-    strategy: GroupStrategy,
     ctx: &QueryCtx,
 ) -> Result<(ResultTable, u64), StorageError> {
-    let mut acc = ChunkAccumulator::new(plan, strategy);
+    let mut acc = ChunkAccumulator::new(plan);
     let (start, end) = source.span(n_rows);
     let (scanned, completed) = source.scan_ctx(start, end, ctx, |rows| acc.consume(rows));
     if !completed || ctx.is_cancelled() {
@@ -1777,8 +1815,9 @@ struct MorselAccumulator<'p, 'a> {
 }
 
 impl<'p, 'a> MorselAccumulator<'p, 'a> {
-    fn new(plan: &'p GroupPlan<'a>, strategy: GroupStrategy) -> Self {
+    fn new(plan: &'p GroupPlan<'a>) -> Self {
         let n_ys = plan.ys.len().max(1);
+        let strategy = plan.strategy;
         let acc = match strategy {
             GroupStrategy::Dense => Accumulators::new(plan.total as usize, n_ys, plan.need_minmax),
             GroupStrategy::Hash => Accumulators::new(0, n_ys, plan.need_minmax),
@@ -1877,11 +1916,10 @@ impl<'p, 'a> MorselAccumulator<'p, 'a> {
 /// which worker produced which partial.
 fn merge_morsel_partials(
     plan: &GroupPlan<'_>,
-    strategy: GroupStrategy,
     partials: impl Iterator<Item = MorselPartial>,
 ) -> (DenseOrHash, Vec<u64>) {
     let n_ys = plan.ys.len().max(1);
-    match strategy {
+    match plan.strategy {
         GroupStrategy::Dense => {
             let mut g = Accumulators::new(plan.total as usize, n_ys, plan.need_minmax);
             for part in partials {
@@ -1968,11 +2006,13 @@ pub fn aggregate_morsel_ctx(
     morsel_rows: usize,
     ctx: &QueryCtx,
 ) -> Result<(ResultTable, u64, Option<MorselMetrics>), StorageError> {
+    let plan = build_plan(table, query, source, strategy.forced_limit())?;
+    ctx.check()?;
     morsel_run(
-        table,
         query,
+        &plan,
         source,
-        strategy,
+        table.num_rows(),
         threads,
         morsel_rows,
         crate::fault::FaultSpec::disabled(),
@@ -1982,7 +2022,7 @@ pub fn aggregate_morsel_ctx(
 }
 
 /// Shared implementation behind the morsel entry points; `stats` (when
-/// engine-routed via [`run_scheduled`]) receives the cancelled-morsel
+/// engine-routed via [`run`]) receives the cancelled-morsel
 /// and worker-panic telemetry, which must be recorded even though such
 /// runs return `Err` and therefore cannot hand back a [`MorselMetrics`].
 ///
@@ -1994,10 +2034,10 @@ pub fn aggregate_morsel_ctx(
 /// nothing reaches the merge or the result cache.
 #[allow(clippy::too_many_arguments)]
 fn morsel_run(
-    table: &Table,
     query: &SelectQuery,
+    plan: &GroupPlan<'_>,
     source: &RowSource<'_>,
-    strategy: GroupStrategy,
+    n_rows: usize,
     threads: usize,
     morsel_rows: usize,
     fault: crate::fault::FaultSpec,
@@ -2005,22 +2045,18 @@ fn morsel_run(
     ctx: &QueryCtx,
 ) -> Result<(ResultTable, u64, Option<MorselMetrics>), StorageError> {
     assert!(morsel_rows >= 1, "morsel size must be positive");
-    let plan = build_plan(table, query, source.stat_rows())?;
-    ctx.check()?;
     let mut workers = parallel::effective_threads(threads);
-    if strategy == GroupStrategy::Dense {
+    if plan.strategy == GroupStrategy::Dense {
         // Each dense worker owns `total` slots; shed workers before
         // exhausting memory on very wide key spaces.
         let cap = (DENSE_PARALLEL_SLOT_BUDGET / plan.total.max(1)).max(1) as usize;
         workers = workers.min(cap);
     }
-    let n_rows = table.num_rows();
     let bounds = source.morsel_bounds(n_rows, morsel_rows);
     let n_morsels = bounds.len() - 1;
     workers = workers.min(n_morsels.max(1));
     if workers <= 1 {
-        return serial_run(query, &plan, source, n_rows, strategy, ctx)
-            .map(|(rt, n)| (rt, n, None));
+        return serial_run(query, plan, source, n_rows, ctx).map(|(rt, n)| (rt, n, None));
     }
     let epoch = ctx.fault_epoch();
     if fault.fires(
@@ -2039,7 +2075,7 @@ fn morsel_run(
     let abort = AtomicBool::new(false);
     type WorkerOut = (Vec<(usize, MorselPartial)>, u64, Option<(u64, String)>);
     let outputs: Vec<WorkerOut> = parallel::run_workers(workers, |_| {
-        let mut acc = MorselAccumulator::new(&plan, strategy);
+        let mut acc = MorselAccumulator::new(plan);
         let mut out = Vec::new();
         let mut visited = 0u64;
         let mut panicked: Option<(u64, String)> = None;
@@ -2137,39 +2173,45 @@ fn morsel_run(
     let mut tagged: Vec<(usize, MorselPartial)> =
         outputs.into_iter().flat_map(|(o, _, _)| o).collect();
     tagged.sort_unstable_by_key(|&(m, _)| m);
-    let (acc, occupied) =
-        merge_morsel_partials(&plan, strategy, tagged.into_iter().map(|(_, p)| p));
+    let (acc, occupied) = merge_morsel_partials(plan, tagged.into_iter().map(|(_, p)| p));
     Ok((
-        finalize_result(query, &plan, &acc, &occupied),
+        finalize_result(query, plan, &acc, &occupied),
         scanned,
         Some(metrics),
     ))
 }
 
-/// Engine-facing dispatcher: run the aggregation with `threads` workers
-/// (serial when `threads <= 1`, morsel-claimed otherwise), recording
-/// morsel claim telemetry into `stats` and observing `ctx` at the scan's
-/// cancellation points (between windows, and between claims). Both
-/// engines' pinned snapshots route their scans through here.
-#[allow(clippy::too_many_arguments)]
-pub fn run_scheduled(
+/// Run one engine query: build the group plan once (Dense when its key
+/// space is at most `dense_limit`, Hash above), then scan serially when
+/// the ctx is degraded ([`QueryCtx::serial_only`], set by the retry
+/// ladder or the breaker) or the source is below the parallel gate, and
+/// morsel-claimed otherwise. Morsel claim telemetry goes to `stats`;
+/// `ctx` is observed between windows and between claims. Both engines
+/// route every scan through here.
+pub fn run(
     table: &Table,
     query: &SelectQuery,
     source: &RowSource<'_>,
-    strategy: GroupStrategy,
-    threads: usize,
+    dense_limit: u128,
     cfg: &ParallelConfig,
     stats: &crate::stats::ExecStats,
     ctx: &QueryCtx,
 ) -> Result<(ResultTable, u64), StorageError> {
+    let plan = build_plan(table, query, source, dense_limit)?;
+    ctx.check()?;
+    let threads = if ctx.serial_only() {
+        1
+    } else {
+        cfg.threads_for(source.estimated_rows())
+    };
     if threads <= 1 {
-        return aggregate_ctx(table, query, source, strategy, ctx);
+        return serial_run(query, &plan, source, table.num_rows(), ctx);
     }
     let (rt, scanned, metrics) = morsel_run(
-        table,
         query,
+        &plan,
         source,
-        strategy,
+        table.num_rows(),
         threads,
         cfg.morsel_rows,
         cfg.fault,
@@ -2264,40 +2306,6 @@ fn finalize_result(
     }
 
     result
-}
-
-/// Pick a strategy: dense when the composite key space is small enough
-/// that the accumulator arrays stay cache-resident relative to the rows
-/// being scanned.
-pub fn choose_strategy(total_groups: u128, dense_limit: u128) -> GroupStrategy {
-    if total_groups <= dense_limit {
-        GroupStrategy::Dense
-    } else {
-        GroupStrategy::Hash
-    }
-}
-
-/// Total composite-key cardinality for a query (used for strategy choice).
-pub fn group_space(table: &Table, query: &SelectQuery) -> Result<u128, StorageError> {
-    group_space_over(table, query, None)
-}
-
-/// [`group_space`] with dimension statistics restricted to a row range,
-/// so sub-range scans (the IVM delta path) pay for the rows they visit,
-/// not the whole column.
-pub fn group_space_over(
-    table: &Table,
-    query: &SelectQuery,
-    rows: Option<(usize, usize)>,
-) -> Result<u128, StorageError> {
-    let mut total: u128 = 1;
-    for z in &query.zs {
-        total *= build_dim_over(table, &XSpec::raw(z.clone()), rows)?
-            .cardinality()
-            .max(1) as u128;
-    }
-    total *= build_dim_over(table, &query.x, rows)?.cardinality().max(1) as u128;
-    Ok(total)
 }
 
 #[cfg(test)]
@@ -2563,13 +2571,41 @@ mod tests {
     }
 
     #[test]
-    fn group_space_calculation() {
+    fn plan_picks_strategy_from_its_key_space() {
         let t = sales_table();
         let q = SelectQuery::new(XSpec::raw("year"), vec![YSpec::sum("sales")]).with_z("product");
+        let src = RowSource::All(t.num_rows());
         // 2 products × 2 years
-        assert_eq!(group_space(&t, &q).unwrap(), 4);
-        assert_eq!(choose_strategy(4, 1024), GroupStrategy::Dense);
-        assert_eq!(choose_strategy(4000, 1024), GroupStrategy::Hash);
+        let plan = build_plan(&t, &q, &src, 1024).unwrap();
+        assert_eq!((plan.total, plan.strategy), (4, GroupStrategy::Dense));
+        let plan = build_plan(&t, &q, &src, 3).unwrap();
+        assert_eq!(plan.strategy, GroupStrategy::Hash);
+    }
+
+    #[test]
+    fn dense_over_a_huge_key_space_is_refused_not_allocated() {
+        let schema = Schema::new(vec![
+            Field::new("year", DataType::Int),
+            Field::new("sales", DataType::Float),
+        ]);
+        let mut b = TableBuilder::new(schema);
+        for y in [-(1i64 << 40), 1 << 40] {
+            b.push_row(vec![Value::Int(y), Value::Float(1.0)]).unwrap();
+        }
+        let t = b.finish();
+        // Unit bins over ±2⁴⁰: 2⁴¹ + 1 slots, far past the cap.
+        let q = SelectQuery::new(XSpec::binned("year", 1.0), vec![YSpec::sum("sales")]);
+        let src = RowSource::All(t.num_rows());
+        let refused =
+            |r: Result<(), StorageError>| matches!(r, Err(StorageError::ResourceExhausted(_)));
+        assert!(refused(
+            aggregate(&t, &q, &src, GroupStrategy::Dense).map(|_| ())
+        ));
+        assert!(refused(
+            aggregate_morsel(&t, &q, &src, GroupStrategy::Dense, 2, 1).map(|_| ())
+        ));
+        let (rt, _) = aggregate(&t, &q, &src, GroupStrategy::Hash).unwrap();
+        assert_eq!(rt.groups[0].ys[0], vec![1.0, 1.0]);
     }
 
     #[test]

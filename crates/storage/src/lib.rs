@@ -1,14 +1,26 @@
 //! # zv-storage
 //!
 //! The storage and query-execution substrate of the zenvisage
-//! reproduction: an in-memory columnar store with from-scratch Roaring
-//! bitmap indexes ([`BitmapDb`]) and a conventional scan-based comparator
-//! ([`ScanDb`]), both serving the canonical grouped-aggregate query shape
-//! that every ZQL visualization compiles to (thesis §5.1):
+//! reproduction: an in-memory columnar store serving the canonical
+//! grouped-aggregate query shape that every ZQL visualization compiles
+//! to (thesis §5.1):
 //!
 //! ```sql
 //! SELECT X, F(Y) [, Z] WHERE ... GROUP BY Z, X ORDER BY Z, X
 //! ```
+//!
+//! One engine core ([`engine`]) owns the versioned table, appends,
+//! durability ([`persist`]), snapshot pinning and the [`Database`] impl.
+//! It comes with two row indexes, and they are the only difference
+//! between the two engines the paper compares (§6, Figure 7.5):
+//!
+//! * [`ScanDb`] has none: every query visits every row through its
+//!   compiled predicate — the stand-in for the paper's PostgreSQL;
+//! * [`BitmapDb`] keeps from-scratch Roaring bitmaps ([`roaring`]) per
+//!   value of each indexed column and visits only the rows they select.
+//!
+//! Both scan through the same window loop and aggregation kernels
+//! ([`exec`]), and answer repeats from the same result cache ([`cache`]).
 //!
 //! ## Quick example
 //!
@@ -38,6 +50,7 @@ pub mod bitmap_db;
 pub mod cache;
 pub mod column;
 pub mod db;
+pub mod engine;
 pub mod exec;
 pub mod fault;
 pub mod json;
@@ -61,7 +74,8 @@ pub use column::{
     CatColumn, ChunkEncoding, CodeColumn, Column, EncodePolicy, EncodingCounts, EncodingMode,
     IntColumn,
 };
-pub use db::{Database, DynDatabase, EngineSnapshot};
+pub use db::{Database, DynDatabase};
+pub use engine::{Engine, EngineConfig, Pinned};
 pub use exec::{GroupStrategy, MorselMetrics, ParallelConfig};
 pub use fault::{FaultPoint, FaultSpec};
 pub use json::{Json, JsonError};

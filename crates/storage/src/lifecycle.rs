@@ -7,7 +7,7 @@
 //! [`QueryCtx`] is the handle that makes abandoning such work cheap: it
 //! travels with a query (or a whole request batch) down through
 //! `ZqlEngine::execute_ctx` → `Database::run_request_ctx` →
-//! `EngineSnapshot::execute` → `exec::run_scheduled`, and every scan
+//! `Pinned::execute` → `exec::run`, and every scan
 //! loop checks it at a natural boundary —
 //!
 //! * the **morsel claim loop** checks between claims (the scheduler's

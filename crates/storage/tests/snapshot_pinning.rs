@@ -1,5 +1,5 @@
 //! Batch snapshot pinning: `Database::run_request` pins one
-//! [`EngineSnapshot`] per batch, so every query of a batch is answered
+//! [`zv_storage::Pinned`] version per batch, so every query of a batch is answered
 //! against the same table version even while appends race the request —
 //! closing the mixed-adjacent-snapshots caveat the cache PR documented.
 
