@@ -1,4 +1,4 @@
-//! Ablation: the distance metric behind `D` (DESIGN.md §5). The ℓ2
+//! Ablation: the distance metric behind `D`. The ℓ2
 //! default is orders faster than DTW at equal usefulness for aligned
 //! series — the reason it's the prototype default (§7.2).
 

@@ -1,4 +1,4 @@
-//! Ablation: dense-array vs hash-map group lookup (DESIGN.md §5) — the
+//! Ablation: dense-array vs hash-map group lookup — the
 //! mechanism behind the Figure 7.5 crossover at 100% selectivity — plus
 //! the serial-vs-morsel comparison and thread-scaling sweep for the
 //! parallel aggregation engine at 1M rows.

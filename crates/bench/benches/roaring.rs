@@ -1,4 +1,4 @@
-//! Ablation: the roaring-bitmap storage model (DESIGN.md §5).
+//! Ablation: the roaring-bitmap storage model (thesis §6.2).
 //!
 //! Compares roaring AND/OR/membership against a sorted-`Vec<u32>`
 //! baseline — the justification for using compressed bitmaps as the

@@ -1,4 +1,4 @@
-//! Regenerates fig7_2 (see DESIGN.md §5). Pass --full-scale for paper sizes.
+//! Regenerates the thesis's Figure 7.2 and prints it. Pass --full-scale for paper sizes.
 fn main() {
     let scale = zv_bench::Scale::from_args();
     let report = zv_bench::figures::fig7_2(&scale);

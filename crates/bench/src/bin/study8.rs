@@ -1,4 +1,4 @@
-//! Regenerates study8 (see DESIGN.md §5). Pass --full-scale for paper sizes.
+//! Regenerates the Chapter 8 user-study tables and prints them. Pass --full-scale for paper sizes.
 fn main() {
     let scale = zv_bench::Scale::from_args();
     let report = zv_bench::figures::study8(&scale);

@@ -1,5 +1,6 @@
-//! One function per evaluation figure/table. See DESIGN.md §5 for the
-//! experiment index and EXPERIMENTS.md for paper-vs-measured results.
+//! One function per evaluation figure/table of the thesis (Figures
+//! 7.1–7.5, Chapter 8). Each returns its report as text; the `fig7_*`,
+//! `study8` and `all_experiments` binaries print or save it.
 
 use crate::{fmt_dur, request_overhead, Scale};
 use std::fmt::Write as _;
@@ -426,7 +427,8 @@ pub fn fig7_5(scale: &Scale) -> String {
 }
 
 /// Chapter 8: Table 8.2 and Figure 8.2 from the simulated user study
-/// (DESIGN.md substitution 4), plus Findings 1–2 summary statistics.
+/// (a behavioural model stands in for the human participants; see
+/// `zv_study`), plus Findings 1–2 summary statistics.
 pub fn study8(scale: &Scale) -> String {
     use zv_study::{run_study, Interface, StudyConfig};
     let cfg = StudyConfig {
@@ -439,8 +441,7 @@ pub fn study8(scale: &Scale) -> String {
         ..Default::default()
     };
     let r = run_study(&cfg);
-    let mut out =
-        String::from("Chapter 8 — simulated user study (see DESIGN.md, substitution 4)\n\n");
+    let mut out = String::from("Chapter 8 — simulated user study (modelled participants)\n\n");
     let _ = writeln!(
         out,
         "Table 8.1 (participant demographics): not reproducible — human data.\n"

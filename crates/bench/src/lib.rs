@@ -35,8 +35,8 @@ impl Scale {
     }
 }
 
-/// Simulated client↔server round-trip per request (DESIGN.md
-/// substitution 2). Override with `ZV_REQUEST_OVERHEAD_MS`.
+/// Simulated client↔server round-trip per request, standing in for the
+/// paper's networked PostgreSQL. Override with `ZV_REQUEST_OVERHEAD_MS`.
 pub fn request_overhead() -> Duration {
     let ms = std::env::var("ZV_REQUEST_OVERHEAD_MS")
         .ok()

@@ -1,6 +1,6 @@
 //! Terminal rendering of visualizations. The thesis front-end maps
 //! results through Vega-lite (§6.1); a library has no browser, so the
-//! examples render ASCII charts instead (DESIGN.md substitution 5).
+//! examples render ASCII charts instead.
 
 use crate::exec::OutputViz;
 use zv_analytics::Series;

@@ -6,7 +6,7 @@
 //! generator matches the published schema shape, row counts (scaled by
 //! default, `full_scale()` for the paper's sizes), cardinality profile,
 //! and — critically — the latent trend structure that the paper's ZQL
-//! queries search for. See DESIGN.md, substitution 3.
+//! queries search for.
 //!
 //! Every generator is a pure function of its config (including the seed):
 //! the same config always reproduces the same table, row for row.

@@ -1,7 +1,7 @@
 //! # zv-study
 //!
-//! A *simulated* reproduction of the thesis's Chapter 8 user study
-//! (DESIGN.md, substitution 4). Human participants cannot be reproduced
+//! A *simulated* reproduction of the thesis's Chapter 8 user study.
+//! Human participants cannot be reproduced
 //! computationally, so this crate keeps the entire **measurement
 //! pipeline** real — per-task completion times, double-graded accuracy,
 //! one-way ANOVA, Tukey's HSD over the three interfaces, Kendall-τ

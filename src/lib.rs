@@ -39,8 +39,8 @@
 //! | [`zv_study`] | the simulated Chapter 8 user study |
 //! | [`zv_server`] | multi-session front-end: supersession + admission control |
 //!
-//! See `DESIGN.md` for the system inventory and `EXPERIMENTS.md` for
-//! paper-vs-measured results on every table and figure.
+//! The top-level `README.md` says how to run the tests, the benchmark
+//! and the paper's figures.
 
 pub use zql;
 pub use zv_analytics;
