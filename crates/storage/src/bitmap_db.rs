@@ -5,9 +5,8 @@
 //!
 //! Per the paper's default policy, every categorical column is indexed
 //! and measure columns are left unindexed; we additionally index integer
-//! columns spanning at most [`INT_INDEX_MAX_CARD`] values (year, month,
-//! ...) because they appear as equality predicates in the canonical
-//! query.
+//! columns spanning at most 4096 values (year, month, ...) because they
+//! appear as equality predicates in the canonical query.
 //!
 //! `BitmapDb` is the shared [`Engine`] core with this module's bitmap
 //! index as its row index: state, appends, durability and pinning are
@@ -87,7 +86,7 @@ impl EngineConfig for BitmapDbConfig {
 }
 
 /// Integer columns spanning at most this many values get bitmap indexes.
-pub const INT_INDEX_MAX_CARD: u128 = 4096;
+const INT_INDEX_MAX_CARD: u128 = 4096;
 
 /// One indexed column: a bitmap of row ids per distinct-value code.
 #[derive(Clone)]

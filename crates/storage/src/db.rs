@@ -219,7 +219,7 @@ pub trait Database: Send + Sync {
     /// subsumption (both answered without touching a base row), then fan
     /// the true misses across the shared pool — multi-query batches use
     /// one worker per query, while a single missing query parallelizes
-    /// *inside* the scan (morsel-claimed; see [`crate::exec::run`]), so
+    /// *inside* the scan (morsel-claimed; see `exec::run`), so
     /// the hardware is saturated either way.
     /// Fresh results are offered to
     /// the cache under the pinned snapshot's version at their scan cost

@@ -12,7 +12,7 @@
 //! Everything else is this module, once: the `RwLock<Arc<…>>` state and
 //! the append lock, durable open / checkpoint, copy-on-write appends,
 //! snapshot pinning and the [`Database`] impl. Scans go through
-//! [`exec::run`].
+//! `exec::run`.
 //!
 //! # State and appends
 //!

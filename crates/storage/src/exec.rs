@@ -83,7 +83,7 @@
 //! query's lifecycle handle (cancellation token, optional deadline,
 //! priority, per-query progress counters) threaded down from
 //! `ZqlEngine::execute_ctx` through `Database::run_request_ctx` and
-//! `Pinned::execute` into [`run`]. Interactive callers
+//! `Pinned::execute` into `run`. Interactive callers
 //! (sliders, sketch re-issues, `zv-server`'s session supersession)
 //! cancel the ctx; the scan observes it at its natural boundaries:
 //!
@@ -2022,7 +2022,7 @@ pub fn aggregate_morsel_ctx(
 }
 
 /// Shared implementation behind the morsel entry points; `stats` (when
-/// engine-routed via [`run`]) receives the cancelled-morsel
+/// engine-routed via `run`) receives the cancelled-morsel
 /// and worker-panic telemetry, which must be recorded even though such
 /// runs return `Err` and therefore cannot hand back a [`MorselMetrics`].
 ///
@@ -2188,7 +2188,7 @@ fn morsel_run(
 /// morsel-claimed otherwise. Morsel claim telemetry goes to `stats`;
 /// `ctx` is observed between windows and between claims. Both engines
 /// route every scan through here.
-pub fn run(
+pub(crate) fn run(
     table: &Table,
     query: &SelectQuery,
     source: &RowSource<'_>,

@@ -75,7 +75,7 @@ pub use column::{
     IntColumn,
 };
 pub use db::{Database, DynDatabase};
-pub use engine::{Engine, EngineConfig, Pinned};
+pub use engine::Pinned;
 pub use exec::{GroupStrategy, MorselMetrics, ParallelConfig};
 pub use fault::{FaultPoint, FaultSpec};
 pub use json::{Json, JsonError};
