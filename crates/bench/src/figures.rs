@@ -2,7 +2,7 @@
 //! 7.1–7.5, Chapter 8). Each returns its report as text; the `fig7_*`,
 //! `study8` and `all_experiments` binaries print or save it.
 
-use crate::{fmt_dur, request_overhead, Scale};
+use crate::{fmt_dur, Scale, REQUEST_OVERHEAD};
 use std::fmt::Write as _;
 use std::sync::Arc;
 use zql::{
@@ -18,8 +18,7 @@ use zv_storage::{
 // The figures reproduce the paper's request/runtime trajectories, so the
 // engine-level result cache is disabled throughout
 // (`BitmapDbConfig::uncached`): repeated runs of one engine must measure
-// the raw §5.2 ladder, not warm cache hits (the cache has its own bench
-// group in `benches/groupby.rs`).
+// the raw §5.2 ladder, not warm cache hits.
 
 const OPT_LEVELS: [OptLevel; 4] = [
     OptLevel::NoOpt,
@@ -27,6 +26,53 @@ const OPT_LEVELS: [OptLevel; 4] = [
     OptLevel::IntraTask,
     OptLevel::InterTask,
 ];
+
+/// Table 5.1 (Figure 7.1, top): products whose sales rise in the US or
+/// fall in the UK; plot their profit.
+pub const TABLE_5_1: &str = "name | x | y | z | constraints | viz | process\n\
+    f1 | 'year' | 'sales' | v1 <- 'product'.P | location='US' | bar.(y=agg('sum')) | v2 <- argany(v1)[t > 0] T(f1)\n\
+    f2 | 'year' | 'sales' | v1 | location='UK' | bar.(y=agg('sum')) | v3 <- argany(v1)[t < 0] T(f2)\n\
+    *f3 | 'year' | 'profit' | v4 <- (v2.range | v3.range) | | bar.(y=agg('sum')) |";
+
+/// Table 5.2 (Figure 7.1, bottom): the ten products whose per-city sales
+/// differ most between 2010 and 2015; plot their profit in both years.
+pub const TABLE_5_2: &str = "name | x | y | z | constraints | viz | process\n\
+    f1 | 'city' | 'sales' | v1 <- 'product'.P | year=2010 | bar.(y=agg('sum')) |\n\
+    f2 | 'city' | 'sales' | v1 | year=2015 | bar.(y=agg('sum')) | v2 <- argmax(v1)[k=10] D(f1, f2)\n\
+    *f3 | 'city' | 'profit' | v2 | year=2010 | bar.(y=agg('sum')) |\n\
+    *f4 | 'city' | 'profit' | v2 | year=2015 | bar.(y=agg('sum')) |";
+
+/// Table 7.1 (Figure 7.2, left): airports where the average departure or
+/// weather delay increases.
+pub const TABLE_7_1: &str = "name | x | y | z | viz | process\n\
+    f1 | 'year' | 'dep_delay' | v1 <- 'origin'.OA | bar.(y=agg('avg')) | v2 <- argany(v1)[t > 0] T(f1)\n\
+    f2 | 'year' | 'weather_delay' | v1 | bar.(y=agg('avg')) | v3 <- argany(v1)[t > 0] T(f2)\n\
+    *f3 | 'year' | y3 <- {'dep_delay', 'weather_delay'} | v4 <- (v2.range | v3.range) | bar.(y=agg('avg')) |";
+
+/// Table 7.2 (Figure 7.2, right): airports whose June and December
+/// arrival delays differ most.
+pub const TABLE_7_2: &str = "name | x | y | z | constraints | viz | process\n\
+    f1 | 'day' | 'arr_delay' | v1 <- 'origin'.DA | month=6 | bar.(y=agg('avg')) |\n\
+    f2 | 'day' | 'arr_delay' | v1 | month=12 | bar.(y=agg('avg')) | v2 <- argmax(v1)[k=10] D(f1, f2)\n\
+    *f3 | 'month' | y1 <- {'arr_delay', 'weather_delay'} | v2 | | bar.(y=agg('avg')) |";
+
+/// Registers Tables 5.1 and 5.2's product set `P`: the first 20 products.
+fn register_products(e: &mut ZqlEngine) {
+    let products = (0..20)
+        .map(|p| Value::str(sales::product_name(p)))
+        .collect();
+    e.registry_mut().register_value_set("P", products);
+}
+
+/// Registers Tables 7.1 and 7.2's airport sets `OA` and `DA`: the first
+/// 10 airports each.
+fn register_airports(e: &mut ZqlEngine) {
+    let airports: Vec<Value> = (0..10)
+        .map(|a| Value::str(airline::airport_name(a)))
+        .collect();
+    e.registry_mut().register_value_set("OA", airports.clone());
+    e.registry_mut().register_value_set("DA", airports);
+}
 
 fn sales_db(scale: &Scale) -> DynDatabase {
     let cfg = SalesConfig {
@@ -37,7 +83,7 @@ fn sales_db(scale: &Scale) -> DynDatabase {
     Arc::new(BitmapDb::with_config(
         sales::generate(&cfg),
         BitmapDbConfig {
-            request_overhead: request_overhead(),
+            request_overhead: REQUEST_OVERHEAD,
             ..BitmapDbConfig::uncached()
         },
     ))
@@ -52,7 +98,7 @@ fn airline_db(scale: &Scale) -> DynDatabase {
     Arc::new(BitmapDb::with_config(
         airline::generate(&cfg),
         BitmapDbConfig {
-            request_overhead: request_overhead(),
+            request_overhead: REQUEST_OVERHEAD,
             ..BitmapDbConfig::uncached()
         },
     ))
@@ -103,42 +149,25 @@ fn run_at_levels(
 /// optimization level.
 pub fn fig7_1(scale: &Scale) -> String {
     let db = sales_db(scale);
-    let products: Vec<Value> = (0..20)
-        .map(|p| Value::str(sales::product_name(p)))
-        .collect();
-    let register = move |e: &mut ZqlEngine| {
-        e.registry_mut().register_value_set("P", products.clone());
-    };
-
-    let table_5_1 = "name | x | y | z | constraints | viz | process\n\
-        f1 | 'year' | 'sales' | v1 <- 'product'.P | location='US' | bar.(y=agg('sum')) | v2 <- argany(v1)[t > 0] T(f1)\n\
-        f2 | 'year' | 'sales' | v1 | location='UK' | bar.(y=agg('sum')) | v3 <- argany(v1)[t < 0] T(f2)\n\
-        *f3 | 'year' | 'profit' | v4 <- (v2.range | v3.range) | | bar.(y=agg('sum')) |";
-    let table_5_2 = "name | x | y | z | constraints | viz | process\n\
-        f1 | 'city' | 'sales' | v1 <- 'product'.P | year=2010 | bar.(y=agg('sum')) |\n\
-        f2 | 'city' | 'sales' | v1 | year=2015 | bar.(y=agg('sum')) | v2 <- argmax(v1)[k=10] D(f1, f2)\n\
-        *f3 | 'city' | 'profit' | v2 | year=2010 | bar.(y=agg('sum')) |\n\
-        *f4 | 'city' | 'profit' | v2 | year=2015 | bar.(y=agg('sum')) |";
-
     let mut out = String::from("Figure 7.1 — query-optimization effect (synthetic sales)\n");
     let _ = writeln!(
         out,
         "rows={}, |P|=20, request overhead={:?}\n",
         db.table().num_rows(),
-        request_overhead()
+        REQUEST_OVERHEAD
     );
     out += &run_at_levels(
         &db,
         "(top) Table 5.1 — +US/-UK trend filter:",
-        table_5_1,
-        &register,
+        TABLE_5_1,
+        register_products,
     );
     out.push('\n');
     out += &run_at_levels(
         &db,
         "(bottom) Table 5.2 — 2010 vs 2015 discrepancy:",
-        table_5_2,
-        &register,
+        TABLE_5_2,
+        register_products,
     );
     out
 }
@@ -147,44 +176,25 @@ pub fn fig7_1(scale: &Scale) -> String {
 /// airline dataset.
 pub fn fig7_2(scale: &Scale) -> String {
     let db = airline_db(scale);
-    let airports: Vec<Value> = (0..10)
-        .map(|a| Value::str(airline::airport_name(a)))
-        .collect();
-    let register = move |e: &mut ZqlEngine| {
-        e.registry_mut().register_value_set("OA", airports.clone());
-        e.registry_mut().register_value_set("DA", airports.clone());
-    };
-
-    // Table 7.1: airports where avg departure OR weather delay increases.
-    let table_7_1 = "name | x | y | z | viz | process\n\
-        f1 | 'year' | 'dep_delay' | v1 <- 'origin'.OA | bar.(y=agg('avg')) | v2 <- argany(v1)[t > 0] T(f1)\n\
-        f2 | 'year' | 'weather_delay' | v1 | bar.(y=agg('avg')) | v3 <- argany(v1)[t > 0] T(f2)\n\
-        *f3 | 'year' | y3 <- {'dep_delay', 'weather_delay'} | v4 <- (v2.range | v3.range) | bar.(y=agg('avg')) |";
-    // Table 7.2: airports whose June vs December arrival delays differ most.
-    let table_7_2 = "name | x | y | z | constraints | viz | process\n\
-        f1 | 'day' | 'arr_delay' | v1 <- 'origin'.DA | month=6 | bar.(y=agg('avg')) |\n\
-        f2 | 'day' | 'arr_delay' | v1 | month=12 | bar.(y=agg('avg')) | v2 <- argmax(v1)[k=10] D(f1, f2)\n\
-        *f3 | 'month' | y1 <- {'arr_delay', 'weather_delay'} | v2 | | bar.(y=agg('avg')) |";
-
     let mut out = String::from("Figure 7.2 — query-optimization effect (airline)\n");
     let _ = writeln!(
         out,
         "rows={}, |OA|=|DA|=10, request overhead={:?}\n",
         db.table().num_rows(),
-        request_overhead()
+        REQUEST_OVERHEAD
     );
     out += &run_at_levels(
         &db,
         "(left) Table 7.1 — increasing delays:",
-        table_7_1,
-        &register,
+        TABLE_7_1,
+        register_airports,
     );
     out.push('\n');
     out += &run_at_levels(
         &db,
         "(right) Table 7.2 — June vs December:",
-        table_7_2,
-        &register,
+        TABLE_7_2,
+        register_airports,
     );
     out
 }
@@ -515,6 +525,88 @@ pub fn study8(scale: &Scale) -> String {
 mod tests {
     use super::*;
     use zv_storage::{ParallelConfig, ScanDbConfig};
+
+    /// Figures 7.1 and 7.2 plot the SQL queries and the requests each of
+    /// their four ZQL tables compiles to at each optimization level
+    /// (thesis §5.2). Neither count depends on timing, so both are pinned
+    /// exactly, on uncached 20 k-row twins of the figures' datasets with
+    /// no simulated round trip. The trend and top-k processes pick
+    /// data-dependent sets, so the counts hold for these tables only.
+    /// Every level must also return the same visualizations.
+    #[test]
+    fn fig7_1_and_fig7_2_query_and_request_counts_are_exact() {
+        let sales: DynDatabase = Arc::new(BitmapDb::with_config(
+            sales::generate(&SalesConfig {
+                rows: 20_000,
+                products: 200,
+                ..Default::default()
+            }),
+            BitmapDbConfig::uncached(),
+        ));
+        let airline: DynDatabase = Arc::new(BitmapDb::with_config(
+            airline::generate(&AirlineConfig {
+                rows: 20_000,
+                airports: 60,
+                ..Default::default()
+            }),
+            BitmapDbConfig::uncached(),
+        ));
+        // (table, dataset, value sets, [(sql queries, requests)] for
+        // NoOpt, IntraLine, IntraTask, InterTask)
+        let cases = [
+            (
+                "5.1",
+                &sales,
+                TABLE_5_1,
+                register_products as fn(&mut ZqlEngine),
+                [(60, 60), (3, 3), (3, 3), (3, 2)],
+            ),
+            (
+                "5.2",
+                &sales,
+                TABLE_5_2,
+                register_products,
+                [(60, 60), (4, 4), (4, 2), (4, 2)],
+            ),
+            (
+                "7.1",
+                &airline,
+                TABLE_7_1,
+                register_airports,
+                [(32, 32), (3, 3), (3, 3), (3, 2)],
+            ),
+            (
+                "7.2",
+                &airline,
+                TABLE_7_2,
+                register_airports,
+                [(40, 40), (3, 3), (3, 2), (3, 2)],
+            ),
+        ];
+        for (table, db, text, setup, want) in cases {
+            let mut counts = Vec::new();
+            let mut reference = None;
+            for opt in OPT_LEVELS {
+                let mut engine = ZqlEngine::with_opt_level(db.clone(), opt);
+                setup(&mut engine);
+                let out = engine.execute_text(text).expect("query runs");
+                counts.push((out.report.sql_queries, out.report.requests));
+                let shape: Vec<_> = out
+                    .visualizations
+                    .into_iter()
+                    .map(|v| (v.label, v.series))
+                    .collect();
+                match &reference {
+                    None => reference = Some(shape),
+                    Some(r) => assert_eq!(&shape, r, "Table {table} diverges at {opt:?}"),
+                }
+            }
+            assert_eq!(
+                counts, want,
+                "Table {table}: (sql queries, requests) per level"
+            );
+        }
+    }
 
     /// Figure 7.5's shape on rows touched rather than milliseconds: at
     /// 10 % selectivity the bitmap engine visits exactly the rows its

@@ -36,14 +36,8 @@ impl Scale {
 }
 
 /// Simulated client↔server round-trip per request, standing in for the
-/// paper's networked PostgreSQL. Override with `ZV_REQUEST_OVERHEAD_MS`.
-pub fn request_overhead() -> Duration {
-    let ms = std::env::var("ZV_REQUEST_OVERHEAD_MS")
-        .ok()
-        .and_then(|v| v.parse::<u64>().ok())
-        .unwrap_or(20);
-    Duration::from_millis(ms)
-}
+/// paper's networked PostgreSQL.
+pub const REQUEST_OVERHEAD: Duration = Duration::from_millis(20);
 
 /// Wall-clock a closure.
 pub fn time_it<T>(mut f: impl FnMut() -> T) -> (T, Duration) {

@@ -15,7 +15,6 @@ pub mod airline;
 pub mod census;
 pub mod housing;
 pub mod sales;
-pub mod skew;
 pub mod util;
 
 pub use airline::{generate as airline, AirlineConfig};

@@ -3,7 +3,8 @@
 //! Binds a TCP listener, loads the deterministic synthetic sales
 //! dataset, and serves the [wire protocol](zv_server::proto) until
 //! stdin reaches EOF (the supervisor closes the pipe), then drains
-//! gracefully. Designed for the CI net-smoke leg and manual poking:
+//! gracefully. Designed for `tests/net.rs`'s end-to-end test and
+//! manual poking:
 //!
 //! ```text
 //! zv-serve --addr 127.0.0.1:0 --rows 60000 --max-conns 64 &

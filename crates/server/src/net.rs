@@ -124,7 +124,7 @@ impl Default for NetServerConfig {
     }
 }
 
-/// Wire-layer counters (monotone, exact — the net-smoke CI leg asserts
+/// Wire-layer counters (monotone, exact — `tests/net.rs` reconciles
 /// bookkeeping against them).
 #[derive(Default)]
 pub struct NetStats {

@@ -1,9 +1,12 @@
 //! Integration suite for the networked front door: handshake and auth,
 //! query round-trips (bit-for-bit against in-process execution),
 //! supersession over the wire, typed busy frames for both admission
-//! layers, explicit cancel, and graceful drain.
+//! layers, explicit cancel, graceful drain, exact bookkeeping under 64
+//! concurrent clients, and the real `zv-serve` binary end to end.
 
-use std::sync::Arc;
+use std::io::{BufRead, BufReader, Read};
+use std::process::{Command, Stdio};
+use std::sync::{mpsc, Arc};
 use std::time::{Duration, Instant};
 
 use zql::ZqlEngine;
@@ -300,4 +303,169 @@ fn graceful_drain_flushes_in_flight_responses_then_closes() {
     // …and the connection is now closed.
     let err = client.recv().expect_err("server is gone");
     assert_eq!(err.kind(), std::io::ErrorKind::UnexpectedEof);
+}
+
+/// One client's outcome tally.
+#[derive(Debug, Default)]
+struct Ledger {
+    completed: u64,
+    busy: u64,
+    errors: u64,
+}
+
+/// Sends `queries` distinct-threshold slider steps one at a time and
+/// checks that each is answered by exactly one frame carrying its id.
+fn drive_client(addr: &str, client: usize, queries: usize) -> Result<Ledger, String> {
+    let mut conn = NetClient::connect(addr, "").map_err(|e| format!("client {client}: {e}"))?;
+    let mut ledger = Ledger::default();
+    for q in 0..queries {
+        let threshold = (client * queries + q) as f64 * 0.37 + 0.5;
+        let id = conn
+            .send_query(&slider_text(threshold), SubmitOptions::default())
+            .map_err(|e| format!("client {client} query {q}: send: {e}"))?;
+        let resp = conn
+            .recv()
+            .map_err(|e| format!("client {client} query {q}: recv: {e}"))?;
+        let got = match resp {
+            Response::Result { id, .. } => {
+                ledger.completed += 1;
+                Some(id)
+            }
+            Response::Busy { id, .. } => {
+                ledger.busy += 1;
+                id
+            }
+            Response::Cancelled { id, .. } => {
+                ledger.errors += 1;
+                Some(id)
+            }
+            Response::Error { id, .. } => {
+                ledger.errors += 1;
+                id
+            }
+            Response::Welcome { .. } => None,
+        };
+        if got != Some(id) {
+            return Err(format!(
+                "client {client} query {q}: frame for {got:?}, expected {id}"
+            ));
+        }
+    }
+    conn.bye()
+        .map_err(|e| format!("client {client}: bye: {e}"))?;
+    Ok(ledger)
+}
+
+/// Runs `clients` concurrent [`drive_client`]s and sums their ledgers.
+/// A response that never arrives fails the test at a deadline instead
+/// of hanging it.
+fn drive_clients(addr: &str, clients: usize, queries: usize) -> Ledger {
+    let (tx, rx) = mpsc::channel();
+    let handles: Vec<_> = (0..clients)
+        .map(|client| {
+            let (tx, addr) = (tx.clone(), addr.to_string());
+            std::thread::spawn(move || tx.send(drive_client(&addr, client, queries)))
+        })
+        .collect();
+    drop(tx);
+    let deadline = Instant::now() + Duration::from_secs(120);
+    let mut total = Ledger::default();
+    for _ in 0..clients {
+        let wait = deadline.saturating_duration_since(Instant::now());
+        let ledger = rx
+            .recv_timeout(wait)
+            .expect("every client finishes before the deadline")
+            .unwrap_or_else(|e| panic!("{e}"));
+        total.completed += ledger.completed;
+        total.busy += ledger.busy;
+        total.errors += ledger.errors;
+    }
+    for handle in handles {
+        let _ = handle.join().expect("client thread");
+    }
+    total
+}
+
+#[test]
+fn sixty_four_clients_reconcile_with_the_server_ledger() {
+    let (clients, queries) = (64, 8);
+    let srv = server(NetServerConfig {
+        max_connections: clients,
+        session: SessionConfig {
+            max_concurrent: 4,
+            // Every client can have a query waiting at once.
+            max_queued: clients,
+            ..SessionConfig::default()
+        },
+        drain_timeout: Duration::from_secs(30),
+        ..NetServerConfig::default()
+    });
+    let ledger = drive_clients(&srv.local_addr().to_string(), clients, queries);
+    let total = (clients * queries) as u64;
+    assert_eq!(
+        ledger.completed + ledger.busy + ledger.errors,
+        total,
+        "{ledger:?}"
+    );
+    let sess = srv.session_stats();
+    let net = srv.stats();
+    assert_eq!(sess.failed, 0, "{sess:?}");
+    assert_eq!(net.sessions_lost, 0, "{net:?}");
+    assert_eq!(sess.completed, ledger.completed, "{sess:?}");
+    assert_eq!(
+        net.results_sent + net.busy_sent + net.cancelled_sent + net.errors_sent,
+        total,
+        "the server sent one frame per query: {net:?}"
+    );
+    srv.shutdown();
+}
+
+#[test]
+fn zv_serve_binary_serves_clients_and_exits_cleanly_when_stdin_closes() {
+    let mut child = Command::new(env!("CARGO_BIN_EXE_zv-serve"))
+        .args(["--addr", "127.0.0.1:0", "--rows", "20000"])
+        .stdin(Stdio::piped())
+        .stdout(Stdio::piped())
+        .stderr(Stdio::piped())
+        .spawn()
+        .expect("spawn zv-serve");
+    let mut line = String::new();
+    BufReader::new(child.stdout.take().unwrap())
+        .read_line(&mut line)
+        .expect("read zv-serve's stdout");
+    let addr = line
+        .trim()
+        .strip_prefix("listening on ")
+        .unwrap_or_else(|| panic!("expected a `listening on` line, got {line:?}"))
+        .to_string();
+
+    let ledger = drive_clients(&addr, 8, 4);
+    assert_eq!(
+        ledger.completed + ledger.busy + ledger.errors,
+        32,
+        "{ledger:?}"
+    );
+
+    // EOF on stdin is the drain signal.
+    drop(child.stdin.take());
+    let deadline = Instant::now() + Duration::from_secs(60);
+    let status = loop {
+        if let Some(status) = child.try_wait().expect("poll zv-serve") {
+            break status;
+        }
+        if Instant::now() > deadline {
+            let _ = child.kill();
+            panic!("zv-serve did not exit after stdin closed");
+        }
+        std::thread::sleep(Duration::from_millis(10));
+    };
+    let mut stderr = String::new();
+    child
+        .stderr
+        .take()
+        .unwrap()
+        .read_to_string(&mut stderr)
+        .expect("read zv-serve's stderr");
+    assert!(status.success(), "zv-serve exited with {status}: {stderr}");
+    assert!(stderr.contains("failed=0 "), "{stderr}");
 }

@@ -526,9 +526,9 @@ impl<T: Coded> Chunked<T> {
     /// sealed chunks answer from their stored stats and cost zero. This
     /// is the accounting behind the O(delta) append guarantee: a
     /// full-column stat recompute after a batch append decodes at most
-    /// one chunk of tail rows no matter how large the table has grown,
-    /// and the IVM bench asserts exactly that.
-    pub fn stat_scan_rows(&self, start: usize, end: usize) -> usize {
+    /// one chunk of tail rows no matter how large the table has grown.
+    #[cfg(test)]
+    pub(crate) fn stat_scan_rows(&self, start: usize, end: usize) -> usize {
         let mut rows = 0;
         let mut row = start.min(self.len());
         let end = end.min(self.len());
@@ -1144,6 +1144,99 @@ mod tests {
         c.append_from(&b);
         assert_eq!(c.len(), 100 + b_vals.len());
         assert_eq!(c.get(100), b_vals[0]);
+    }
+
+    /// The compression floor on a low-cardinality, clustered fixture:
+    /// `key = (i >> 10) % 100` seals as RLE (1024-row runs in every
+    /// chunk) and `val = i % 16` bit-packs into 4-bit lanes. The encoded
+    /// layout must take at most a quarter of the plain bytes, use both
+    /// encodings, and give the plain layout's Dense group-by exactly.
+    #[test]
+    fn low_cardinality_columns_compress_fourfold_and_group_identically() {
+        use crate::exec::{aggregate, GroupStrategy, RowSource};
+        use crate::query::{Agg, SelectQuery, XSpec, YSpec};
+        use crate::table::{Field, Schema, Table};
+
+        let rows = 16 * ENC_CHUNK_ROWS + 100;
+        let lowcard = |policy: EncodePolicy| {
+            let key = IntColumn::from_vec(
+                (0..rows).map(|i| ((i >> 10) % 100) as i64).collect(),
+                policy,
+            );
+            let val = IntColumn::from_vec((0..rows).map(|i| (i % 16) as i64).collect(), policy);
+            let schema = Schema::new(vec![
+                Field::new("key", DataType::Int),
+                Field::new("val", DataType::Int),
+            ]);
+            Table::from_columns(schema, vec![Column::Int(key), Column::Int(val)]).unwrap()
+        };
+        let plain = lowcard(EncodePolicy::off());
+        let encoded = lowcard(EncodePolicy::auto());
+        let heap_bytes = |t: &Table| -> usize { (0..2).map(|i| t.column_at(i).heap_bytes()).sum() };
+        assert!(
+            heap_bytes(&encoded) * 4 <= heap_bytes(&plain),
+            "encoded {} bytes against plain {}",
+            heap_bytes(&encoded),
+            heap_bytes(&plain)
+        );
+        let mut counts = EncodingCounts::default();
+        for i in 0..2 {
+            counts.merge(&encoded.column_at(i).encoding_counts().unwrap());
+        }
+        assert!(counts.packed > 0 && counts.rle > 0, "{counts:?}");
+
+        let q = SelectQuery::new(
+            XSpec::raw("key"),
+            vec![YSpec::sum("val"), YSpec::new("*", Agg::Count)],
+        );
+        let group = |t: &Table| {
+            aggregate(t, &q, &RowSource::All(rows), GroupStrategy::Dense)
+                .unwrap()
+                .0
+        };
+        assert_eq!(group(&encoded), group(&plain));
+    }
+
+    /// O(delta) appends: after each small batch appended to a
+    /// multi-chunk int column, a full-column min/max decodes only rows
+    /// that no sealed chunk's stats cover, which is less than one chunk,
+    /// however large the column has grown.
+    #[test]
+    fn stat_recompute_after_appends_decodes_less_than_a_chunk() {
+        use crate::table::{Field, Schema, Table};
+
+        let start = 8 * ENC_CHUNK_ROWS + 123;
+        let vals = mixed_vals(start);
+        let schema = Schema::new(vec![Field::new("v", DataType::Int)]);
+        let column = IntColumn::from_vec(vals.clone(), EncodePolicy::auto());
+        let mut table = Table::from_columns(schema, vec![Column::Int(column)]).unwrap();
+        let mut expect = vals;
+        for batch in 0..100 {
+            let rows: Vec<Vec<Value>> = (0..100)
+                .map(|r| {
+                    let v = (batch * 100 + r) as i64 % 977 - 400;
+                    expect.push(v);
+                    vec![Value::Int(v)]
+                })
+                .collect();
+            table.append_rows(&rows).unwrap();
+            let Column::Int(col) = table.column_at(0) else {
+                unreachable!("v is an int column")
+            };
+            let decoded = col.stat_scan_rows(0, col.len());
+            assert!(
+                decoded < ENC_CHUNK_ROWS,
+                "batch {batch}: the stat recompute decoded {decoded} of {} rows",
+                col.len()
+            );
+        }
+        let Column::Int(col) = table.column_at(0) else {
+            unreachable!("v is an int column")
+        };
+        assert_eq!(col.len(), start + 10_000);
+        let lo = expect.iter().min().copied();
+        let hi = expect.iter().max().copied();
+        assert_eq!(col.minmax(0, col.len()), lo.zip(hi));
     }
 
     #[test]

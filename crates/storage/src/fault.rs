@@ -138,9 +138,9 @@ pub struct FaultSpec {
     /// [`FaultSpec::fires`] call short-circuits before hashing).
     pub seed: u64,
     /// Firing probability in parts-per-million (`1_000_000` = every
-    /// index fires). A seed may be armed with rate `0` to measure the
-    /// overhead of the hooks themselves (`fault_overhead_ratio` in
-    /// `bench_groupby`).
+    /// index fires). A seed may be armed with rate `0`: every hook is
+    /// consulted and none fires, so answers equal the disabled spec's
+    /// (`morsel_equivalence::engines_agree_serial_and_morsel_under_skew`).
     pub rate_ppm: u32,
     /// Microseconds slept when [`FaultPoint::MorselDelay`] fires.
     pub delay_us: u32,

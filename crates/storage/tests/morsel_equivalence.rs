@@ -19,9 +19,9 @@
 use proptest::prelude::*;
 use zv_storage::exec::{aggregate, aggregate_morsel, compile_pred, GroupStrategy, RowSource};
 use zv_storage::{
-    Agg, Atom, BitmapDb, BitmapDbConfig, CmpOp, DataType, Database, Field, ParallelConfig,
-    Predicate, RoaringBitmap, ScanDb, ScanDbConfig, Schema, SelectQuery, Table, TableBuilder,
-    Value, XSpec, YSpec,
+    Agg, Atom, BitmapDb, BitmapDbConfig, CmpOp, DataType, Database, FaultSpec, Field,
+    ParallelConfig, Predicate, RoaringBitmap, ScanDb, ScanDbConfig, Schema, SelectQuery, Table,
+    TableBuilder, Value, XSpec, YSpec,
 };
 
 fn schema(region: bool) -> Schema {
@@ -342,7 +342,10 @@ fn many_rows_many_threads() {
 
 /// Engine-level: both engines, serial and morsel-parallel, must agree
 /// query-for-query on a table large enough for real production-size
-/// morsels, with the matches clustered in one stripe.
+/// morsels, with the matches clustered in one stripe. One more morsel
+/// engine runs with fault injection armed at rate zero: its hooks are
+/// consulted on every morsel but never fire, so its answers must equal
+/// the disabled engines' too.
 #[test]
 fn engines_agree_serial_and_morsel_under_skew() {
     let table = std::sync::Arc::new(clustered_table(40_000, 5));
@@ -354,6 +357,14 @@ fn engines_agree_serial_and_morsel_under_skew() {
         threads: 4,
         min_parallel_rows: 0,
         ..Default::default()
+    };
+    let armed_at_zero = ParallelConfig {
+        fault: FaultSpec {
+            seed: 1,
+            rate_ppm: 0,
+            delay_us: 0,
+        },
+        ..morsel
     };
 
     let queries: Vec<SelectQuery> = (0..8)
@@ -389,6 +400,7 @@ fn engines_agree_serial_and_morsel_under_skew() {
         ("bitmap/morsel", Box::new(bitmap(morsel))),
         ("scan/serial", Box::new(scan(serial))),
         ("scan/morsel", Box::new(scan(morsel))),
+        ("scan/armed-at-zero morsel", Box::new(scan(armed_at_zero))),
     ];
     for q in &queries {
         let expect = reference.execute(q).unwrap();

@@ -7,8 +7,8 @@
 //!
 //! CI's `persist-chaos` leg re-runs this suite with `ZV_FAULT_SEED` /
 //! `ZV_FAULT_RATE` forced; [`env_or_default_spec`] picks those up. The
-//! `#[ignore]`d cold-start smoke (1M rows: dump, kill, reload, re-key)
-//! runs there too via `-- --ignored`.
+//! cold-start smoke (1M rows: dump, kill, reload, re-key) runs with the
+//! rest of the suite.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -255,13 +255,12 @@ fn torn_append_aborts_the_mutation_and_checkpoint_heals() {
     std::fs::remove_dir_all(&dir).unwrap();
 }
 
-/// CI cold-start smoke (run with `-- --ignored`): dump 1M rows, kill
-/// without a drain checkpoint (a WAL tail is live), reload, and verify
-/// the restored version is exact — so a cached-key query re-keys under
-/// it and the first post-restart mutation mints a strictly newer
-/// version (no stale cache entry can ever read as current).
+/// Cold-start smoke: dump 1M rows, kill without a drain checkpoint (a
+/// WAL tail is live), reload, and verify the restored version is exact
+/// — so a cached-key query re-keys under it and the first post-restart
+/// mutation mints a strictly newer version (no stale cache entry can
+/// ever read as current).
 #[test]
-#[ignore = "cold-start smoke: ~1M-row snapshot; CI persist-chaos leg runs it"]
 fn cold_start_reloads_a_million_rows_and_rekeys_the_cache() {
     let n = 1_000_000usize;
     let schema = Schema::new(vec![
