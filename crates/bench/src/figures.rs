@@ -343,7 +343,7 @@ fn fig7_5_table(rows: usize, seed: u64) -> Arc<Table> {
     columns.push(Column::Cat(x2));
     columns.push(Column::Cat(p1));
     columns.push(Column::Cat(p2));
-    columns.push(Column::Float(m));
+    columns.push(Column::Float(m.into()));
     Arc::new(Table::from_columns(Schema::new(fields), columns).unwrap())
 }
 

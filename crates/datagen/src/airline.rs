@@ -198,11 +198,11 @@ pub fn generate(cfg: &AirlineConfig) -> Arc<Table> {
         Column::Int(years.into()),
         Column::Int(months.into()),
         Column::Int(days.into()),
-        Column::Float(dep_delay),
-        Column::Float(arr_delay),
-        Column::Float(weather_delay),
-        Column::Float(distance),
-        Column::Float(air_time),
+        Column::Float(dep_delay.into()),
+        Column::Float(arr_delay.into()),
+        Column::Float(weather_delay.into()),
+        Column::Float(distance.into()),
+        Column::Float(air_time.into()),
         Column::Int(cancelled.into()),
     ];
     Arc::new(Table::from_columns(schema, columns).expect("generator schema is consistent"))

@@ -115,8 +115,8 @@ pub fn generate(cfg: &CensusConfig) -> Arc<Table> {
     let mut columns: Vec<Column> = cats.into_iter().map(Column::Cat).collect();
     columns.push(Column::Int(ages.into()));
     columns.push(Column::Int(hours.into()));
-    columns.push(Column::Float(wages));
-    columns.push(Column::Float(gains));
+    columns.push(Column::Float(wages.into()));
+    columns.push(Column::Float(gains.into()));
 
     Arc::new(Table::from_columns(Schema::new(fields), columns).expect("consistent schema"))
 }

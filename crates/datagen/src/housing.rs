@@ -197,14 +197,14 @@ pub fn generate(cfg: &HousingConfig) -> Arc<Table> {
         Column::Int(years.into()),
         Column::Int(months.into()),
         Column::Int(quarters.into()),
-        Column::Float(sold),
-        Column::Float(listing),
-        Column::Float(turnover),
-        Column::Float(foreclosure),
-        Column::Float(inventory),
-        Column::Float(dom),
+        Column::Float(sold.into()),
+        Column::Float(listing.into()),
+        Column::Float(turnover.into()),
+        Column::Float(foreclosure.into()),
+        Column::Float(inventory.into()),
+        Column::Float(dom.into()),
         Column::Int(num_sold.into()),
-        Column::Float(ppsf),
+        Column::Float(ppsf.into()),
     ];
     Arc::new(Table::from_columns(schema, columns).expect("consistent schema"))
 }

@@ -17,7 +17,7 @@ use crate::util::{gaussian, latent_in};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::sync::Arc;
-use zv_storage::{CatColumn, Column, DataType, Field, Schema, Table};
+use zv_storage::{CatColumn, Column, DataType, Field, FloatColumn, IntColumn, Schema, Table};
 
 /// Configuration for [`generate`].
 #[derive(Clone, Debug)]
@@ -183,11 +183,12 @@ pub fn generate(cfg: &SalesConfig) -> Arc<Table> {
         size.intern(s);
     }
 
-    let mut years: Vec<i64> = Vec::with_capacity(cfg.rows);
-    let mut months: Vec<i64> = Vec::with_capacity(cfg.rows);
-    let mut weights: Vec<f64> = Vec::with_capacity(cfg.rows);
-    let mut sales: Vec<f64> = Vec::with_capacity(cfg.rows);
-    let mut profits: Vec<f64> = Vec::with_capacity(cfg.rows);
+    // Columns fill chunk by chunk, never as one flat run.
+    let mut years = IntColumn::with_env_policy();
+    let mut months = IntColumn::with_env_policy();
+    let mut weights = FloatColumn::with_env_policy();
+    let mut sales = FloatColumn::with_env_policy();
+    let mut profits = FloatColumn::with_env_policy();
 
     // Pre-compute per-product latent parameters.
     let base: Vec<f64> = (0..cfg.products)
@@ -263,8 +264,8 @@ pub fn generate(cfg: &SalesConfig) -> Arc<Table> {
         Column::Cat(location),
         Column::Cat(city),
         Column::Cat(size),
-        Column::Int(years.into()),
-        Column::Int(months.into()),
+        Column::Int(years),
+        Column::Int(months),
         Column::Float(weights),
         Column::Float(sales),
         Column::Float(profits),

@@ -10,6 +10,7 @@
 
 use std::io::{self, BufRead, BufReader, Read, Write};
 use std::net::{SocketAddr, TcpStream, ToSocketAddrs};
+use std::time::Duration;
 
 use zv_storage::Json;
 
@@ -146,6 +147,24 @@ pub fn read_frame(r: &mut impl BufRead) -> io::Result<Option<Json>> {
     }
 }
 
+/// How long [`NetClient`] waits for a server frame before it gives up.
+/// Far longer than any answer is meant to take, so it fires only when
+/// the server dropped a frame or hung.
+pub const CLIENT_READ_TIMEOUT: Duration = Duration::from_secs(60);
+
+/// The next frame from the server, or `TimedOut` when none arrives
+/// within the stream's read timeout.
+fn next_frame(reader: &mut BufReader<TcpStream>, eof: &'static str) -> io::Result<Json> {
+    match read_frame_deadline(reader)? {
+        FrameRead::Frame(j) => Ok(j),
+        FrameRead::Eof => Err(io::Error::new(io::ErrorKind::UnexpectedEof, eof)),
+        FrameRead::Idle | FrameRead::Stalled => Err(io::Error::new(
+            io::ErrorKind::TimedOut,
+            "no server frame within the client read timeout",
+        )),
+    }
+}
+
 /// Client connection errors surfaced with a precise cause.
 fn refused(msg: String) -> io::Error {
     io::Error::new(io::ErrorKind::ConnectionRefused, msg)
@@ -155,7 +174,8 @@ fn refused(msg: String) -> io::Error {
 /// handshake on [`NetClient::connect`], then sends [`Request`]s and
 /// receives [`Response`]s. Supports pipelining — send several queries
 /// before reading; responses come back in submission order, with
-/// superseded queries answered by `cancelled` frames.
+/// superseded queries answered by `cancelled` frames. Every read gives
+/// up after [`CLIENT_READ_TIMEOUT`].
 #[derive(Debug)]
 pub struct NetClient {
     reader: BufReader<TcpStream>,
@@ -169,8 +189,17 @@ impl NetClient {
     /// the server is at its connection limit (typed `busy` frame) and
     /// `PermissionDenied` when the token is rejected.
     pub fn connect(addr: impl ToSocketAddrs, token: &str) -> io::Result<NetClient> {
+        Self::connect_with_read_timeout(addr, token, CLIENT_READ_TIMEOUT)
+    }
+
+    fn connect_with_read_timeout(
+        addr: impl ToSocketAddrs,
+        token: &str,
+        read_timeout: Duration,
+    ) -> io::Result<NetClient> {
         let mut writer = TcpStream::connect(addr)?;
         writer.set_nodelay(true)?;
+        writer.set_read_timeout(Some(read_timeout))?;
         let mut reader = BufReader::new(writer.try_clone()?);
         write_frame(
             &mut writer,
@@ -180,12 +209,7 @@ impl NetClient {
             }
             .to_json(),
         )?;
-        let frame = read_frame(&mut reader)?.ok_or_else(|| {
-            io::Error::new(
-                io::ErrorKind::UnexpectedEof,
-                "server closed during handshake",
-            )
-        })?;
+        let frame = next_frame(&mut reader, "server closed during handshake")?;
         match Response::from_json(&frame) {
             Some(Response::Welcome { session, .. }) => Ok(NetClient {
                 reader,
@@ -234,17 +258,18 @@ impl NetClient {
         write_frame(&mut self.writer, &Request::Cancel.to_json())
     }
 
-    /// Read the next server frame.
+    /// Read the next server frame. Fails with `TimedOut` when none
+    /// arrives within [`CLIENT_READ_TIMEOUT`]: the server dropped a
+    /// frame or hung. The client no longer knows where it is in the
+    /// response stream then, so it must be dropped, not reused.
     pub fn recv(&mut self) -> io::Result<Response> {
-        let frame = read_frame(&mut self.reader)?.ok_or_else(|| {
-            io::Error::new(io::ErrorKind::UnexpectedEof, "server closed the connection")
-        })?;
+        let frame = next_frame(&mut self.reader, "server closed the connection")?;
         Response::from_json(&frame).ok_or_else(|| invalid("unintelligible server frame"))
     }
 
     /// Convenience: send one query and block for *its* response,
     /// discarding responses to earlier (pipelined, now superseded)
-    /// queries.
+    /// queries. Times out like [`NetClient::recv`].
     pub fn query(&mut self, zql: &str, opts: SubmitOptions) -> io::Result<Response> {
         let id = self.send_query(zql, opts)?;
         loop {
@@ -344,6 +369,50 @@ mod tests {
         // The retrying wrapper turns a mid-frame stall into TimedOut.
         let err = read_frame(&mut trickle(b"12")).unwrap_err();
         assert_eq!(err.kind(), io::ErrorKind::TimedOut);
+    }
+
+    /// A server that answers the handshake and the first query, then
+    /// swallows the response to the second: the client's `query` fails
+    /// with `TimedOut` after the read timeout instead of hanging.
+    #[test]
+    fn client_times_out_when_the_server_swallows_a_frame() {
+        use std::net::TcpListener;
+        use std::time::Instant;
+
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap();
+        let server = std::thread::spawn(move || {
+            let (mut writer, _) = listener.accept().unwrap();
+            let mut reader = BufReader::new(writer.try_clone().unwrap());
+            read_frame(&mut reader).unwrap().expect("hello");
+            let welcome = Response::Welcome {
+                version: PROTO_VERSION,
+                session: 7,
+            };
+            write_frame(&mut writer, &welcome.to_json()).unwrap();
+            let first = read_frame(&mut reader).unwrap().expect("first query");
+            let Some(Request::Query { id, .. }) = Request::from_json(&first) else {
+                panic!("expected a query frame");
+            };
+            let answer = Response::Cancelled { id, reason: None };
+            write_frame(&mut writer, &answer.to_json()).unwrap();
+            // Swallow the second query's response; hold the connection
+            // open until the client goes away.
+            read_frame(&mut reader).unwrap().expect("second query");
+            let _ = reader.read_to_end(&mut Vec::new());
+        });
+
+        let timeout = Duration::from_millis(300);
+        let mut client = NetClient::connect_with_read_timeout(addr, "", timeout).unwrap();
+        assert_eq!(client.session(), 7);
+        let first = client.query("q1", SubmitOptions::default()).unwrap();
+        assert!(matches!(first, Response::Cancelled { id: 1, .. }));
+        let start = Instant::now();
+        let err = client.query("q2", SubmitOptions::default()).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::TimedOut);
+        assert!(start.elapsed() >= timeout);
+        drop(client);
+        server.join().unwrap();
     }
 
     #[test]

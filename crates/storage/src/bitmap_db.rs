@@ -14,7 +14,9 @@
 //! on open and refreshed *incrementally* on append: appended row ids are
 //! strictly ascending, so each new row is an O(1) `push_ascending` into
 //! its value bitmap; only an integer column whose value range grew out
-//! of its existing code space pays a full per-column rebuild.
+//! of its existing code space pays a full per-column rebuild. Each value
+//! bitmap sits behind an `Arc`, so the next version's index shares every
+//! bitmap the append did not touch and copies only the ones it did.
 
 use crate::cache::CacheConfig;
 use crate::column::Column;
@@ -24,6 +26,7 @@ use crate::predicate::{Atom, CmpOp, Predicate};
 use crate::roaring::RoaringBitmap;
 use crate::table::{StorageError, Table};
 use std::collections::{HashMap, HashSet};
+use std::sync::Arc;
 use std::time::Duration;
 
 /// In-memory database with roaring-bitmap secondary indexes.
@@ -89,11 +92,12 @@ impl EngineConfig for BitmapDbConfig {
 const INT_INDEX_MAX_CARD: u128 = 4096;
 
 /// One indexed column: a bitmap of row ids per distinct-value code.
+/// Cloning it copies one pointer per bitmap.
 #[derive(Clone)]
 struct ColumnIndex {
     /// `bitmaps[code]` = rows where the column equals the value with that
     /// code. For int columns the code is `value - min`.
-    bitmaps: Vec<RoaringBitmap>,
+    bitmaps: Vec<Arc<RoaringBitmap>>,
     /// For integer indexes: the value of code 0.
     int_min: i64,
     is_int: bool,
@@ -101,7 +105,7 @@ struct ColumnIndex {
 
 impl ColumnIndex {
     fn lookup_cat(&self, code: u32) -> Option<&RoaringBitmap> {
-        self.bitmaps.get(code as usize)
+        self.bitmaps.get(code as usize).map(|b| &**b)
     }
 
     fn lookup_int(&self, value: i64) -> Option<&RoaringBitmap> {
@@ -112,7 +116,39 @@ impl ColumnIndex {
         if off < 0 {
             return None;
         }
-        self.bitmaps.get(off as usize)
+        self.bitmaps.get(off as usize).map(|b| &**b)
+    }
+
+    /// Append the rows `(row, code)` of one batch, ascending by row:
+    /// each touched bitmap is copied once if an older version still
+    /// shares it, grown in place, and re-compressed once (appends
+    /// devolve run containers).
+    fn push_batch(&mut self, batch: &[(u32, usize)]) {
+        for &(row, code) in batch {
+            Arc::make_mut(&mut self.bitmaps[code]).push_ascending(row);
+        }
+        let mut touched: Vec<usize> = batch.iter().map(|&(_, code)| code).collect();
+        touched.sort_unstable();
+        touched.dedup();
+        for code in touched {
+            Arc::make_mut(&mut self.bitmaps[code]).run_optimize();
+        }
+    }
+}
+
+/// Seal freshly built bitmaps into a [`ColumnIndex`]: run-optimize each
+/// one and put it behind its `Arc`.
+fn seal_index(bitmaps: Vec<RoaringBitmap>, int_min: i64, is_int: bool) -> ColumnIndex {
+    ColumnIndex {
+        bitmaps: bitmaps
+            .into_iter()
+            .map(|mut bm| {
+                bm.run_optimize();
+                Arc::new(bm)
+            })
+            .collect(),
+        int_min,
+        is_int,
     }
 }
 
@@ -135,14 +171,7 @@ fn build_cat_index(c: &crate::column::CatColumn) -> ColumnIndex {
     c.codes().for_each_range(0, c.len(), |row, code| {
         bitmaps[code as usize].push_ascending(row as u32);
     });
-    for bm in &mut bitmaps {
-        bm.run_optimize();
-    }
-    ColumnIndex {
-        bitmaps,
-        int_min: 0,
-        is_int: false,
-    }
+    seal_index(bitmaps, 0, false)
 }
 
 fn build_int_index(v: &crate::column::IntColumn) -> Option<ColumnIndex> {
@@ -159,23 +188,7 @@ fn build_int_index(v: &crate::column::IntColumn) -> Option<ColumnIndex> {
     v.for_each_range(0, v.len(), |row, val| {
         bitmaps[(val - lo) as usize].push_ascending(row as u32);
     });
-    for bm in &mut bitmaps {
-        bm.run_optimize();
-    }
-    Some(ColumnIndex {
-        bitmaps,
-        int_min: lo,
-        is_int: true,
-    })
-}
-
-/// Sorted, deduplicated code list of one append batch (so each touched
-/// bitmap is re-compressed exactly once).
-fn dedup_codes(codes: impl Iterator<Item = usize>) -> Vec<usize> {
-    let mut out: Vec<usize> = codes.collect();
-    out.sort_unstable();
-    out.dedup();
-    out
+    Some(seal_index(bitmaps, lo, true))
 }
 
 fn all_rows(table: &Table) -> RoaringBitmap {
@@ -215,10 +228,17 @@ impl BitmapIndex {
         self.indexes.contains_key(col)
     }
 
+    /// The value bitmaps of indexed column `col`, by value code.
+    pub(crate) fn bitmaps(&self, col: &str) -> Option<&[Arc<RoaringBitmap>]> {
+        self.indexes.get(col).map(|ix| ix.bitmaps.as_slice())
+    }
+
     /// Bring the indexes up to date after rows `old_rows..` were appended
     /// to `table`. Appended row ids are ascending and larger than
     /// anything indexed, so the common case is an O(1) tail append per
-    /// row; an integer index whose value range grew falls back to a full
+    /// row into the value bitmaps the batch touches — copied first if
+    /// the previous version still shares them; the rest stay shared. An
+    /// integer index whose value range grew falls back to a full
     /// per-column rebuild (or is dropped if it outgrew the cardinality
     /// budget — residual predicate scans stay correct without it).
     pub(crate) fn refresh(&mut self, table: &Table, old_rows: usize) {
@@ -232,18 +252,13 @@ impl BitmapIndex {
                         .expect("categorical columns are always indexed");
                     // New dictionary codes get fresh (empty) bitmaps.
                     while ix.bitmaps.len() < c.cardinality() {
-                        ix.bitmaps.push(RoaringBitmap::new());
+                        ix.bitmaps.push(Arc::default());
                     }
-                    let mut batch: Vec<usize> = Vec::new();
+                    let mut batch = Vec::new();
                     c.codes().for_each_range(old_rows, c.len(), |row, code| {
-                        ix.bitmaps[code as usize].push_ascending(row as u32);
-                        batch.push(code as usize);
+                        batch.push((row as u32, code as usize));
                     });
-                    // Appends devolve run containers; re-compress each
-                    // bitmap this batch touched, once.
-                    for code in dedup_codes(batch.into_iter()) {
-                        ix.bitmaps[code].run_optimize();
-                    }
+                    ix.push_batch(&batch);
                 }
                 Column::Int(v) => {
                     if unindexable.contains(&field.name) {
@@ -264,16 +279,11 @@ impl BitmapIndex {
                             );
                         });
                         if in_range {
-                            let mut batch: Vec<usize> = Vec::new();
+                            let mut batch = Vec::new();
                             v.for_each_range(old_rows, v.len(), |row, val| {
-                                ix.bitmaps[(val - int_min) as usize].push_ascending(row as u32);
-                                batch.push((val - int_min) as usize);
+                                batch.push((row as u32, (val - int_min) as usize));
                             });
-                            // Appends devolve run containers;
-                            // re-compress each touched bitmap, once.
-                            for code in dedup_codes(batch.into_iter()) {
-                                ix.bitmaps[code].run_optimize();
-                            }
+                            ix.push_batch(&batch);
                             continue;
                         }
                         indexes.remove(&field.name);

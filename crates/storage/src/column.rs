@@ -32,12 +32,26 @@
 //! the cheaper of RLE/packed *and* shrinks chunks to 64 rows so even
 //! tiny proptest tables exercise the encoded paths. Invalid values panic
 //! loudly rather than silently testing the default, mirroring
-//! `ZV_SCHED_*`. Floats are always stored plain: measures are consumed
-//! bit-for-bit by the aggregation kernels and gain little from integer
-//! encodings.
+//! `ZV_SCHED_*`. Float columns ([`FloatColumn`]) use the same chunk
+//! size but always stay plain: measures are consumed bit-for-bit by the
+//! aggregation kernels and gain little from integer encodings. Their
+//! sealed chunks still record `(min, max)`.
+//!
+//! # Shared sealed segments
+//!
+//! A sealed chunk is immutable, so every store holds its sealed chunks
+//! as `Arc`'d segments, and a categorical column holds its dictionary
+//! behind one `Arc`. Cloning a column (and so a
+//! [`Table`](crate::table::Table)) copies one pointer per sealed chunk
+//! plus the unsealed tail, which is under one chunk of rows; the clone
+//! shares every sealed chunk with its parent. An append then writes only
+//! into the clone's tail, seals new chunks of its own, and copies the
+//! dictionary only when it interns a new value. Older versions, such as
+//! a pinned snapshot, keep reading the same segments untouched.
 
 use crate::value::{DataType, Value};
 use std::collections::HashMap;
+use std::sync::Arc;
 
 /// Rows per sealed chunk under the default (`Auto`/`Off`) policy. A
 /// power of two so row→chunk mapping is a shift; equal to the scan
@@ -241,12 +255,18 @@ pub fn packed_delta(words: &[u64], width: u32, i: usize) -> u64 {
 /// A chunked, per-chunk-encoded store of fixed-width values: sealed
 /// chunks (encoded at seal time by byte cost) plus a plain mutable
 /// tail. Append-only — the `Table` mutation model never truncates.
+///
+/// A sealed chunk never changes again, so each one is an `Arc`'d
+/// segment: cloning the store copies one pointer per sealed chunk plus
+/// the tail (under one chunk of rows), and the clone shares every
+/// sealed chunk with the original. That is what makes a table version
+/// cost O(delta) to derive from its parent.
 #[derive(Clone, Debug)]
 pub struct Chunked<T: Coded> {
     /// log2 of rows per sealed chunk.
     shift: u32,
     mode: EncodingMode,
-    chunks: Vec<EncChunk<T>>,
+    chunks: Vec<Arc<EncChunk<T>>>,
     /// `(min, max)` per sealed chunk, parallel to `chunks`.
     stats: Vec<(T, T)>,
     tail: Vec<T>,
@@ -257,7 +277,7 @@ pub type CodeColumn = Chunked<u32>;
 
 /// Borrowed view of a [`Chunked`] store's serialized parts: `(shift,
 /// sealed chunks, per-chunk stats, plain tail)` — see [`Chunked::parts`].
-pub type ChunkedParts<'a, T> = (u32, &'a [EncChunk<T>], &'a [(T, T)], &'a [T]);
+pub type ChunkedParts<'a, T> = (u32, &'a [Arc<EncChunk<T>>], &'a [(T, T)], &'a [T]);
 
 impl<T: Coded> Chunked<T> {
     pub fn new(policy: EncodePolicy) -> Self {
@@ -294,14 +314,15 @@ impl<T: Coded> Chunked<T> {
         Chunked {
             shift,
             mode,
-            chunks,
+            chunks: chunks.into_iter().map(Arc::new).collect(),
             stats,
             tail,
         }
     }
 
     /// The serialized parts: `(shift, sealed chunks, per-chunk stats,
-    /// plain tail)` — what `persist` writes verbatim.
+    /// plain tail)` — what `persist` writes verbatim. Two stores that
+    /// share a sealed chunk hold the same `Arc`.
     pub fn parts(&self) -> ChunkedParts<'_, T> {
         (self.shift, &self.chunks, &self.stats, &self.tail)
     }
@@ -340,8 +361,8 @@ impl<T: Coded> Chunked<T> {
     }
 
     /// Append every value of `other`. When both stores share a shift
-    /// and this tail is empty, `other`'s sealed chunks are copied
-    /// verbatim (no re-encode) — the common bulk-append case.
+    /// and this tail is empty, `other`'s sealed chunks are shared, not
+    /// re-encoded — the common bulk-append case.
     pub fn append_from(&mut self, other: &Chunked<T>) {
         if self.tail.is_empty() && self.shift == other.shift {
             self.chunks.extend(other.chunks.iter().cloned());
@@ -373,7 +394,7 @@ impl<T: Coded> Chunked<T> {
             }
         }
         let chunk = encode_chunk(vals, min, max, runs, self.mode);
-        self.chunks.push(chunk);
+        self.chunks.push(Arc::new(chunk));
         self.stats.push((min, max));
         self.tail.clear();
     }
@@ -387,7 +408,7 @@ impl<T: Coded> Chunked<T> {
             return self.tail[row - self.sealed_rows()];
         }
         let off = row & (self.chunk_rows() - 1);
-        match &self.chunks[chunk] {
+        match &*self.chunks[chunk] {
             EncChunk::Plain(v) => v[off],
             EncChunk::Packed { min, width, words } => {
                 if *width == 0 {
@@ -415,7 +436,7 @@ impl<T: Coded> Chunked<T> {
                 data: SegRef::Plain(&self.tail),
             };
         }
-        let data = match &self.chunks[chunk] {
+        let data = match &*self.chunks[chunk] {
             EncChunk::Plain(v) => SegRef::Plain(v),
             EncChunk::Packed { min, width, words } => SegRef::Packed {
                 min: *min,
@@ -549,7 +570,7 @@ impl<T: Coded> Chunked<T> {
         let chunk_bytes: usize = self
             .chunks
             .iter()
-            .map(|c| match c {
+            .map(|c| match &**c {
                 EncChunk::Plain(v) => v.len() * T::WIDTH_BYTES,
                 EncChunk::Packed { words, .. } => words.len() * 8,
                 EncChunk::Rle(runs) => runs.len() * (T::WIDTH_BYTES + 2),
@@ -564,7 +585,7 @@ impl<T: Coded> Chunked<T> {
             ..Default::default()
         };
         for c in &self.chunks {
-            match c {
+            match **c {
                 EncChunk::Plain(_) => counts.plain += 1,
                 EncChunk::Packed { .. } => counts.packed += 1,
                 EncChunk::Rle(_) => counts.rle += 1,
@@ -658,14 +679,200 @@ fn encode_chunk<T: Coded>(
     }
 }
 
+/// A float column, chunked like [`Chunked`] (the policy's chunk size)
+/// but never encoded: measures are consumed bit for bit by the
+/// aggregation kernels. Each sealed chunk is an `Arc`'d slice shared
+/// with every clone, with its `(min, max)` recorded at seal (NaN is
+/// skipped, as `f64::min`/`f64::max` skip it); the tail holds under one
+/// chunk of rows. Scan kernels read whole slices
+/// ([`FloatColumn::for_each_slice`]) rather than looking up a chunk per
+/// row.
+#[derive(Clone, Debug)]
+pub struct FloatColumn {
+    /// log2 of rows per sealed chunk.
+    shift: u32,
+    chunks: Vec<Arc<[f64]>>,
+    /// `(min, max)` per sealed chunk, parallel to `chunks`.
+    stats: Vec<(f64, f64)>,
+    tail: Vec<f64>,
+}
+
+/// Borrowed view of a [`FloatColumn`]'s parts: `(shift, sealed chunks,
+/// per-chunk stats, tail)` — see [`FloatColumn::parts`].
+pub type FloatParts<'a> = (u32, &'a [Arc<[f64]>], &'a [(f64, f64)], &'a [f64]);
+
+/// `(min, max)` of `vals`, skipping NaN; `(∞, −∞)` when nothing is left.
+fn minmax_f64(vals: &[f64]) -> (f64, f64) {
+    vals.iter()
+        .fold((f64::INFINITY, f64::NEG_INFINITY), |(lo, hi), &x| {
+            (lo.min(x), hi.max(x))
+        })
+}
+
+impl FloatColumn {
+    pub fn new(policy: EncodePolicy) -> Self {
+        FloatColumn {
+            shift: policy.shift,
+            chunks: Vec::new(),
+            stats: Vec::new(),
+            tail: Vec::new(),
+        }
+    }
+
+    pub fn with_env_policy() -> Self {
+        Self::new(EncodePolicy::from_env())
+    }
+
+    pub fn from_vec(vals: Vec<f64>, policy: EncodePolicy) -> Self {
+        let mut c = Self::new(policy);
+        let full = vals.len() >> c.shift << c.shift;
+        for chunk in vals[..full].chunks_exact(c.chunk_rows()) {
+            c.stats.push(minmax_f64(chunk));
+            c.chunks.push(Arc::from(chunk));
+        }
+        c.tail.extend_from_slice(&vals[full..]);
+        c
+    }
+
+    #[inline]
+    pub fn len(&self) -> usize {
+        (self.chunks.len() << self.shift) + self.tail.len()
+    }
+
+    #[inline]
+    pub fn is_empty(&self) -> bool {
+        self.chunks.is_empty() && self.tail.is_empty()
+    }
+
+    #[inline]
+    fn chunk_rows(&self) -> usize {
+        1usize << self.shift
+    }
+
+    pub fn push(&mut self, v: f64) {
+        self.tail.push(v);
+        if self.tail.len() == self.chunk_rows() {
+            self.stats.push(minmax_f64(&self.tail));
+            self.chunks.push(Arc::from(&self.tail[..]));
+            self.tail.clear();
+        }
+    }
+
+    /// Append every value of `other`. When both columns share a chunk
+    /// size and this tail is empty, `other`'s sealed chunks are shared.
+    pub fn append_from(&mut self, other: &FloatColumn) {
+        if self.tail.is_empty() && self.shift == other.shift {
+            self.chunks.extend(other.chunks.iter().cloned());
+            self.stats.extend_from_slice(&other.stats);
+            for &v in &other.tail {
+                self.push(v);
+            }
+            return;
+        }
+        other.for_each_slice(0, other.len(), |_, vals| {
+            for &v in vals {
+                self.push(v);
+            }
+        });
+    }
+
+    /// The segment (sealed chunk or tail) holding `row`: its first row
+    /// and its values.
+    #[inline]
+    pub fn segment(&self, row: usize) -> (usize, &[f64]) {
+        let chunk = row >> self.shift;
+        match self.chunks.get(chunk) {
+            Some(c) => (chunk << self.shift, c),
+            None => (self.chunks.len() << self.shift, &self.tail),
+        }
+    }
+
+    #[inline]
+    pub fn get(&self, row: usize) -> f64 {
+        let (base, vals) = self.segment(row);
+        vals[row - base]
+    }
+
+    /// Call `f(first_row, values)` for each piece of rows `start..end`
+    /// that lies in one segment, in row order — one call per segment
+    /// touched, so a window no longer than a chunk makes at most two.
+    #[inline]
+    pub fn for_each_slice(&self, start: usize, end: usize, mut f: impl FnMut(usize, &[f64])) {
+        debug_assert!(start <= end && end <= self.len());
+        let mut row = start;
+        while row < end {
+            let (base, vals) = self.segment(row);
+            let stop = end.min(base + vals.len());
+            f(row, &vals[row - base..stop - base]);
+            row = stop;
+        }
+    }
+
+    /// `(min, max)` over rows `start..end`, skipping NaN (`(∞, −∞)` when
+    /// every row is NaN): sealed-chunk stats answer fully covered
+    /// chunks, so only the partial edges are read. `None` for an empty
+    /// range.
+    pub fn minmax(&self, start: usize, end: usize) -> Option<(f64, f64)> {
+        if start >= end {
+            return None;
+        }
+        let (mut lo, mut hi) = (f64::INFINITY, f64::NEG_INFINITY);
+        self.for_each_slice(start, end, |row, vals| {
+            let chunk = row >> self.shift;
+            let (a, b) = if row & (self.chunk_rows() - 1) == 0
+                && vals.len() == self.chunk_rows()
+                && chunk < self.chunks.len()
+            {
+                self.stats[chunk]
+            } else {
+                minmax_f64(vals)
+            };
+            lo = lo.min(a);
+            hi = hi.max(b);
+        });
+        Some((lo, hi))
+    }
+
+    pub fn to_vec(&self) -> Vec<f64> {
+        let mut out = Vec::with_capacity(self.len());
+        self.for_each_slice(0, self.len(), |_, vals| out.extend_from_slice(vals));
+        out
+    }
+
+    /// `(shift, sealed chunks, per-chunk stats, tail)`. Two columns
+    /// that share a sealed chunk hold the same `Arc`.
+    pub fn parts(&self) -> FloatParts<'_> {
+        (self.shift, &self.chunks, &self.stats, &self.tail)
+    }
+
+    /// Heap bytes held by the values and the chunk stats.
+    pub fn heap_bytes(&self) -> usize {
+        self.len() * 8 + self.stats.len() * 16
+    }
+}
+
+impl From<Vec<f64>> for FloatColumn {
+    fn from(vals: Vec<f64>) -> Self {
+        Self::from_vec(vals, EncodePolicy::from_env())
+    }
+}
+
+/// The dictionary of a [`CatColumn`]: distinct values in first-seen
+/// order (code `i` means `values[i]`) and the reverse lookup.
+#[derive(Clone, Debug, Default)]
+struct Dict {
+    values: Vec<String>,
+    lookup: HashMap<String, u32>,
+}
+
 /// A dictionary-encoded string column. Codes live in a chunked,
 /// per-chunk-encoded store ([`CodeColumn`]), bit-packed to the observed
-/// dictionary width (or run-length encoded when values cluster).
+/// dictionary width (or run-length encoded when values cluster). The
+/// dictionary sits behind one `Arc`, shared by every clone and copied
+/// only when an append interns a value it does not hold yet.
 #[derive(Clone, Debug)]
 pub struct CatColumn {
-    /// Distinct values, in first-seen order; code `i` means `dict[i]`.
-    dict: Vec<String>,
-    lookup: HashMap<String, u32>,
+    dict: Arc<Dict>,
     codes: CodeColumn,
 }
 
@@ -682,8 +889,7 @@ impl CatColumn {
 
     pub fn with_policy(policy: EncodePolicy) -> Self {
         CatColumn {
-            dict: Vec::new(),
-            lookup: HashMap::new(),
+            dict: Arc::default(),
             codes: CodeColumn::new(policy),
         }
     }
@@ -695,12 +901,13 @@ impl CatColumn {
 
     /// Get-or-insert a dictionary code without appending a row.
     pub fn intern(&mut self, v: &str) -> u32 {
-        if let Some(&c) = self.lookup.get(v) {
+        if let Some(&c) = self.dict.lookup.get(v) {
             return c;
         }
-        let c = self.dict.len() as u32;
-        self.dict.push(v.to_string());
-        self.lookup.insert(v.to_string(), c);
+        let dict = Arc::make_mut(&mut self.dict);
+        let c = dict.values.len() as u32;
+        dict.values.push(v.to_string());
+        dict.lookup.insert(v.to_string(), c);
         c
     }
 
@@ -708,18 +915,18 @@ impl CatColumn {
     /// path — avoids per-row string hashing).
     pub fn push_code(&mut self, code: u32) {
         debug_assert!(
-            (code as usize) < self.dict.len(),
+            (code as usize) < self.dict.values.len(),
             "code {code} not interned"
         );
         self.codes.push(code);
     }
 
     pub fn code_of(&self, v: &str) -> Option<u32> {
-        self.lookup.get(v).copied()
+        self.dict.lookup.get(v).copied()
     }
 
     pub fn decode(&self, code: u32) -> &str {
-        &self.dict[code as usize]
+        &self.dict.values[code as usize]
     }
 
     /// The chunked code store.
@@ -741,19 +948,21 @@ impl CatColumn {
             .map(|(i, s)| (s.clone(), i as u32))
             .collect();
         CatColumn {
-            dict,
-            lookup,
+            dict: Arc::new(Dict {
+                values: dict,
+                lookup,
+            }),
             codes,
         }
     }
 
     pub fn dict(&self) -> &[String] {
-        &self.dict
+        &self.dict.values
     }
 
     /// Number of distinct values.
     pub fn cardinality(&self) -> usize {
-        self.dict.len()
+        self.dict.values.len()
     }
 
     pub fn len(&self) -> usize {
@@ -769,7 +978,7 @@ impl CatColumn {
 #[derive(Clone, Debug)]
 pub enum Column {
     Int(IntColumn),
-    Float(Vec<f64>),
+    Float(FloatColumn),
     Cat(CatColumn),
 }
 
@@ -783,7 +992,7 @@ impl Column {
     pub fn with_policy(dtype: DataType, policy: EncodePolicy) -> Self {
         match dtype {
             DataType::Int => Column::Int(IntColumn::new(policy)),
-            DataType::Float => Column::Float(Vec::new()),
+            DataType::Float => Column::Float(FloatColumn::new(policy)),
             DataType::Cat => Column::Cat(CatColumn::with_policy(policy)),
         }
     }
@@ -820,14 +1029,14 @@ impl Column {
     }
 
     /// Append every row of `other` onto this column. Numeric columns
-    /// extend value-at-a-time (sealed chunks copy verbatim when the
-    /// layouts line up); categorical columns remap the other
-    /// dictionary's codes through a translation table built once per
-    /// call (an identity remap also copies chunks verbatim).
+    /// extend value-at-a-time (sealed chunks are shared when the layouts
+    /// line up); categorical columns remap the other dictionary's codes
+    /// through a translation table built once per call (an identity
+    /// remap also shares chunks).
     pub fn append(&mut self, other: &Column) -> Result<(), String> {
         match (self, other) {
             (Column::Int(a), Column::Int(b)) => a.append_from(b),
-            (Column::Float(a), Column::Float(b)) => a.extend_from_slice(b),
+            (Column::Float(a), Column::Float(b)) => a.append_from(b),
             (Column::Cat(a), Column::Cat(b)) => {
                 let remap: Vec<u32> = b.dict().iter().map(|s| a.intern(s)).collect();
                 if remap.iter().enumerate().all(|(i, &c)| i as u32 == c) {
@@ -869,7 +1078,7 @@ impl Column {
     pub fn get(&self, row: usize) -> Value {
         match self {
             Column::Int(v) => Value::Int(v.get(row)),
-            Column::Float(v) => Value::Float(v[row]),
+            Column::Float(v) => Value::Float(v.get(row)),
             Column::Cat(c) => Value::Str(c.decode(c.code_at(row)).to_string()),
         }
     }
@@ -879,7 +1088,7 @@ impl Column {
     pub fn get_f64(&self, row: usize) -> Option<f64> {
         match self {
             Column::Int(v) => Some(v.get(row) as f64),
-            Column::Float(v) => Some(v[row]),
+            Column::Float(v) => Some(v.get(row)),
             Column::Cat(_) => None,
         }
     }
@@ -898,7 +1107,7 @@ impl Column {
         }
     }
 
-    pub fn as_float(&self) -> Option<&[f64]> {
+    pub fn as_float(&self) -> Option<&FloatColumn> {
         match self {
             Column::Float(v) => Some(v),
             _ => None,
@@ -917,7 +1126,7 @@ impl Column {
                 d.into_iter().map(Value::Int).collect()
             }
             Column::Float(v) => {
-                let mut d: Vec<f64> = v.clone();
+                let mut d: Vec<f64> = v.to_vec();
                 d.sort_by(|a, b| a.total_cmp(b));
                 d.dedup_by(|a, b| a.to_bits() == b.to_bits());
                 d.into_iter().map(Value::Float).collect()
@@ -937,7 +1146,7 @@ impl Column {
     pub fn heap_bytes(&self) -> usize {
         match self {
             Column::Int(v) => v.heap_bytes(),
-            Column::Float(v) => v.len() * 8,
+            Column::Float(v) => v.heap_bytes(),
             Column::Cat(c) => {
                 c.codes().heap_bytes() + c.dict().iter().map(|s| s.len() + 24).sum::<usize>()
             }
@@ -945,7 +1154,7 @@ impl Column {
     }
 
     /// Per-encoding chunk census for Int/Cat columns (`None` for
-    /// floats, which are always plain).
+    /// floats, which are never encoded).
     pub fn encoding_counts(&self) -> Option<EncodingCounts> {
         match self {
             Column::Int(v) => Some(v.encoding_counts()),
@@ -1237,6 +1446,80 @@ mod tests {
         let lo = expect.iter().min().copied();
         let hi = expect.iter().max().copied();
         assert_eq!(col.minmax(0, col.len()), lo.zip(hi));
+    }
+
+    /// Float columns chunk like the other stores: values, slices and
+    /// min/max (NaN skipped, sealed stats folded for covered chunks)
+    /// match a flat vector under every policy's chunk size, and a clone
+    /// shares every sealed chunk while its appends stay its own.
+    #[test]
+    fn float_column_slices_folds_stats_and_shares_chunks() {
+        let mut vals: Vec<f64> = (0..10_000)
+            .map(|i| ((i * 7919) % 1000) as f64 * 0.5 - 250.0)
+            .collect();
+        vals[5000] = f64::NAN;
+        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        for policy in [
+            EncodePolicy::auto(),
+            EncodePolicy::off(),
+            EncodePolicy::force(),
+        ] {
+            let c = FloatColumn::from_vec(vals.clone(), policy);
+            let chunk = 1usize << policy.shift;
+            assert_eq!(bits(&c.to_vec()), bits(&vals), "{policy:?}");
+            for row in [0, 63, 64, 4095, 4096, 5000, 9999] {
+                assert_eq!(c.get(row).to_bits(), vals[row].to_bits(), "row {row}");
+            }
+            for (s, e) in [
+                (0, 10_000),
+                (100, 200),
+                (4000, 5000),
+                (4095, 4097),
+                (4999, 5001),
+            ] {
+                let (mut seen, mut pieces) = (Vec::new(), 0);
+                c.for_each_slice(s, e, |row, v| {
+                    assert_eq!(row, s + seen.len(), "slices come in row order");
+                    seen.extend_from_slice(v);
+                    pieces += 1;
+                });
+                assert_eq!(bits(&seen), bits(&vals[s..e]), "{policy:?} {s}..{e}");
+                assert!(pieces <= (e - s).div_ceil(chunk) + 1, "one slice per chunk");
+                let naive = vals[s..e]
+                    .iter()
+                    .fold((f64::INFINITY, f64::NEG_INFINITY), |(lo, hi), &x| {
+                        (lo.min(x), hi.max(x))
+                    });
+                assert_eq!(c.minmax(s, e), Some(naive), "{policy:?} {s}..{e}");
+            }
+            assert_eq!(c.minmax(5, 5), None);
+
+            let mut grown = c.clone();
+            for i in 0..chunk {
+                grown.push(i as f64);
+            }
+            let (old, new) = (c.parts().1, grown.parts().1);
+            assert_eq!(new.len(), old.len() + 1);
+            assert!(old.iter().zip(new).all(|(a, b)| Arc::ptr_eq(a, b)));
+            assert_eq!(c.len(), vals.len(), "the original kept its rows");
+        }
+    }
+
+    /// A clone shares its parent's dictionary until it interns a value
+    /// the dictionary lacks; the parent never sees that value.
+    #[test]
+    fn cat_dictionary_is_copied_only_to_intern_a_new_value() {
+        let mut a = CatColumn::new();
+        a.push("x");
+        a.push("y");
+        let mut b = a.clone();
+        b.push("x");
+        assert!(Arc::ptr_eq(&a.dict, &b.dict));
+        b.push("z");
+        assert!(!Arc::ptr_eq(&a.dict, &b.dict));
+        assert_eq!(a.dict(), ["x", "y"]);
+        assert_eq!(b.dict(), ["x", "y", "z"]);
+        assert_eq!(a.code_of("z"), None);
     }
 
     #[test]

@@ -10,9 +10,9 @@
 //!   [`crate::bitmap_db`]).
 //!
 //! Everything else is this module, once: the `RwLock<Arc<…>>` state and
-//! the append lock, durable open / checkpoint, copy-on-write appends,
-//! snapshot pinning and the [`Database`] impl. Scans go through
-//! `exec::run`.
+//! the append lock, durable open / checkpoint, appends that derive each
+//! new version from the last, snapshot pinning and the [`Database`]
+//! impl. Scans go through `exec::run`.
 //!
 //! # State and appends
 //!
@@ -20,12 +20,19 @@
 //! in one immutable state behind `RwLock<Arc<…>>`: a query pins the
 //! current `Arc` (a pointer bump) and scans lock-free, so a long scan
 //! never blocks an append and vice versa. Appends serialize on the
-//! append lock, copy-on-write the next table *outside* the
-//! reader-visible lock (bumping its version, which retires every cached
-//! result — see [`crate::cache`]), WAL-log it on a durable engine,
-//! refresh the index, and swap the new state in with a momentary write
-//! lock. Durability comes before visibility: nothing becomes visible
-//! that is not on disk.
+//! append lock and build the next version *outside* the reader-visible
+//! lock: a private clone of the current table, which shares every
+//! sealed column chunk and dictionary with it (see [`crate::column`]),
+//! takes the rows (bumping its version, which retires every cached
+//! result — see [`crate::cache`]); a durable engine WAL-logs them; the
+//! index is refreshed, sharing every bitmap the rows did not touch; and
+//! the new state is swapped in with a momentary write lock. So an
+//! append costs O(delta) plus one pointer per sealed chunk and bitmap,
+//! not O(rows), and every older version — a pinned snapshot, say —
+//! keeps reading its own unchanged segments. A failed append drops the
+//! private clone and leaves the current version as it was. Durability
+//! comes before visibility: nothing becomes visible that is not on
+//! disk.
 
 use crate::bitmap_db::BitmapIndex;
 use crate::cache::{CacheConfig, ResultCache};
@@ -35,6 +42,7 @@ use crate::lifecycle::QueryCtx;
 use crate::persist::{PersistOptions, Persistence};
 use crate::predicate::Predicate;
 use crate::query::{ResultTable, SelectQuery};
+use crate::roaring::RoaringBitmap;
 use crate::stats::ExecStats;
 use crate::table::{StorageError, Table};
 use crate::value::Value;
@@ -132,6 +140,18 @@ impl Pinned {
     /// The pinned table.
     pub fn table(&self) -> &Arc<Table> {
         &self.state.table
+    }
+
+    /// The bitmap index of column `col` on the pinned version, one
+    /// bitmap per value code (dictionary code, or `value - min` for an
+    /// int column); `None` when the engine keeps no index on `col`.
+    /// Versions derived by appends share every bitmap the appended rows
+    /// left untouched.
+    pub fn index_bitmaps(&self, col: &str) -> Option<&[Arc<RoaringBitmap>]> {
+        match &self.state.index {
+            RowIndex::None => None,
+            RowIndex::Bitmap(ix) => ix.bitmaps(col),
+        }
     }
 
     /// Execute one canonical grouped-aggregate query against the pinned
@@ -327,13 +347,15 @@ impl<C: EngineConfig> Engine<C> {
     }
 
     /// Swap in a table built by `mutate`, and the index refreshed over
-    /// it; returns the row delta. The O(n) copy-on-write and the index
-    /// refresh run outside the reader-visible lock — concurrent queries
-    /// keep their old version throughout. On a durable engine `log`
-    /// WAL-logs and fsyncs the batch first (straight from the caller's
-    /// borrowed rows/columns — no extra copy); a disk failure aborts the
-    /// whole mutation, so nothing ever becomes visible that isn't
-    /// durable.
+    /// it; returns the row delta. `mutate` works on a private clone of
+    /// the current table that shares its sealed chunks and dictionaries
+    /// (so the clone costs the unsealed tails plus one pointer per
+    /// sealed chunk); it and the index refresh run outside the
+    /// reader-visible lock — concurrent queries keep their old version
+    /// throughout. On a durable engine `log` WAL-logs and fsyncs the
+    /// batch first (straight from the caller's borrowed rows/columns —
+    /// no extra copy); a failed `mutate` or disk write drops the clone,
+    /// so nothing ever becomes visible that isn't durable.
     fn mutate_table(
         &self,
         mutate: impl FnOnce(&mut Table) -> Result<usize, StorageError>,

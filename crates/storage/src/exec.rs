@@ -32,6 +32,12 @@
 //!       │                 code buffer (one `match` per window per dim,
 //!       │                 not one per row)
 //!       │
+//!       ├─ measures:      each measure column is gathered into a reusable
+//!       │                 per-window buffer the same way — a float column
+//!       │                 one slice per chunk the window touches (at most
+//!       │                 two for full-size chunks), never a chunk lookup
+//!       │                 per row
+//!       │
 //!       ├─ chunk update:  Dense  → acc[code] += y        (array index)
 //!       │                 Hash   → entry-API slot lookup (one probe),
 //!       │                          per-window capacity reservation
@@ -171,7 +177,9 @@
 //! and with forced tiny morsels, so a scheduling bug cannot hide behind
 //! the default configuration.
 
-use crate::column::{packed_delta, Chunked, CodeColumn, Coded, Column, IntColumn, SegRef};
+use crate::column::{
+    packed_delta, Chunked, CodeColumn, Coded, Column, FloatColumn, IntColumn, SegRef,
+};
 use crate::lifecycle::QueryCtx;
 use crate::parallel;
 use crate::predicate::{Atom, CmpOp, Predicate};
@@ -192,7 +200,8 @@ use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 /// over encoded columns hold the chunked store itself: `CAtom::and_mask`
 /// evaluates a window's sealed chunks in place (RLE runs decided once
 /// per run, bit-packed lanes unpacked inside 64-lane word kernels) with
-/// per-chunk min/max short-circuits.
+/// per-chunk min/max short-circuits. Float atoms read each window's
+/// values as one slice per chunk it touches.
 pub enum CAtom<'a> {
     ConstBool(bool),
     CatEqCode {
@@ -214,7 +223,7 @@ pub enum CAtom<'a> {
         value: f64,
     },
     NumCmpF {
-        vals: &'a [f64],
+        vals: &'a FloatColumn,
         op: CmpOp,
         value: f64,
     },
@@ -224,7 +233,7 @@ pub enum CAtom<'a> {
         hi: f64,
     },
     BetweenF {
-        vals: &'a [f64],
+        vals: &'a FloatColumn,
         lo: f64,
         hi: f64,
     },
@@ -342,17 +351,21 @@ impl CAtom<'_> {
                 );
             }
             // One arm per operator, so each lane loop is a bare
-            // comparison rather than a per-lane `match` on the operator.
+            // comparison rather than a per-lane `match` on the operator;
+            // one slice per chunk the window touches.
             CAtom::NumCmpF { vals, op, value } => {
-                let (v, t) = (&vals[start..end], *value);
-                match op {
-                    CmpOp::Eq => and_lanes(mask, 0, v.len(), |i| v[i] == t),
-                    CmpOp::Neq => and_lanes(mask, 0, v.len(), |i| v[i] != t),
-                    CmpOp::Lt => and_lanes(mask, 0, v.len(), |i| v[i] < t),
-                    CmpOp::Le => and_lanes(mask, 0, v.len(), |i| v[i] <= t),
-                    CmpOp::Gt => and_lanes(mask, 0, v.len(), |i| v[i] > t),
-                    CmpOp::Ge => and_lanes(mask, 0, v.len(), |i| v[i] >= t),
-                }
+                let t = *value;
+                vals.for_each_slice(start, end, |row, v| {
+                    let (p0, n) = (row - start, v.len());
+                    match op {
+                        CmpOp::Eq => and_lanes(mask, p0, n, |i| v[i] == t),
+                        CmpOp::Neq => and_lanes(mask, p0, n, |i| v[i] != t),
+                        CmpOp::Lt => and_lanes(mask, p0, n, |i| v[i] < t),
+                        CmpOp::Le => and_lanes(mask, p0, n, |i| v[i] <= t),
+                        CmpOp::Gt => and_lanes(mask, p0, n, |i| v[i] > t),
+                        CmpOp::Ge => and_lanes(mask, p0, n, |i| v[i] >= t),
+                    }
+                });
             }
             CAtom::BetweenI { vals, lo, hi } => {
                 let (plo, phi) = (*lo, *hi);
@@ -378,9 +391,8 @@ impl CAtom<'_> {
             }
             CAtom::BetweenF { vals, lo, hi } => {
                 let (plo, phi) = (*lo, *hi);
-                and_lanes(mask, 0, end - start, |i| {
-                    let v = vals[start + i];
-                    v >= plo && v <= phi
+                vals.for_each_slice(start, end, |row, v| {
+                    and_lanes(mask, row - start, v.len(), |i| v[i] >= plo && v[i] <= phi);
                 });
             }
         }
@@ -908,7 +920,7 @@ pub enum DimEncoder<'a> {
         card: usize,
     },
     BinnedF {
-        vals: &'a [f64],
+        vals: &'a FloatColumn,
         width: f64,
         min_bin: i64,
         card: usize,
@@ -932,6 +944,26 @@ fn for_spans<'a, T: Coded>(
         let seg_end = seg.base + seg.len;
         let j = i + rows[i..].partition_point(|&r| (r as usize) < seg_end);
         f(i, j, seg);
+        i = j;
+    }
+}
+
+/// The float analogue of [`for_spans`]: calls `f(i, j, base, vals)` for
+/// each maximal id subrange `rows[i..j]` inside one segment, whose first
+/// row is `base` — one slice per chunk a window touches, no chunk lookup
+/// per row.
+#[inline]
+fn for_float_spans<'a>(
+    col: &'a FloatColumn,
+    rows: &[u32],
+    mut f: impl FnMut(usize, usize, usize, &'a [f64]),
+) {
+    let mut i = 0;
+    while i < rows.len() {
+        let (base, vals) = col.segment(rows[i] as usize);
+        let seg_end = base + vals.len();
+        let j = i + rows[i..].partition_point(|&r| (r as usize) < seg_end);
+        f(i, j, base, vals);
         i = j;
     }
 }
@@ -1008,7 +1040,7 @@ impl DimEncoder<'_> {
                 width,
                 min_bin,
                 ..
-            } => ((vals[row] / width).floor() as i64 - min_bin) as u64,
+            } => ((vals.get(row) / width).floor() as i64 - min_bin) as u64,
         }
     }
 
@@ -1053,10 +1085,13 @@ impl DimEncoder<'_> {
                 min_bin,
                 ..
             } => {
-                for (o, &r) in out.iter_mut().zip(rows) {
-                    let code = ((vals[r as usize] / width).floor() as i64 - min_bin) as u64;
-                    *o += code * stride;
-                }
+                let (width, min_bin) = (*width, *min_bin);
+                for_float_spans(vals, rows, |i, j, base, v| {
+                    for k in i..j {
+                        let x = v[rows[k] as usize - base];
+                        out[k] += ((x / width).floor() as i64 - min_bin) as u64 * stride;
+                    }
+                });
             }
         }
     }
@@ -1153,7 +1188,8 @@ fn build_dim_over<'a>(
                         card: 0,
                     });
                 }
-                let (lo, hi) = minmax_f(&v[s..e]);
+                // Sealed-chunk stats answer covered chunks.
+                let (lo, hi) = v.minmax(s, e).expect("nonempty range");
                 let min_bin = (lo / width).floor() as i64;
                 let max_bin = (hi / width).floor() as i64;
                 Ok(DimEncoder::BinnedF {
@@ -1207,16 +1243,6 @@ fn build_dim_over<'a>(
     }
 }
 
-fn minmax_f(v: &[f64]) -> (f64, f64) {
-    let mut lo = f64::INFINITY;
-    let mut hi = f64::NEG_INFINITY;
-    for &x in v {
-        lo = lo.min(x);
-        hi = hi.max(x);
-    }
-    (lo, hi)
-}
-
 // ---------------------------------------------------------------------
 // Aggregation kernel
 // ---------------------------------------------------------------------
@@ -1225,18 +1251,36 @@ fn minmax_f(v: &[f64]) -> (f64, f64) {
 #[derive(Clone, Copy)]
 pub enum YCol<'a> {
     I(&'a IntColumn),
-    F(&'a [f64]),
+    F(&'a FloatColumn),
     /// COUNT(*) needs no column.
     Unit,
 }
 
-impl YCol<'_> {
-    #[inline]
-    fn get(&self, row: usize) -> f64 {
-        match self {
-            YCol::I(v) => v.get(row) as f64,
-            YCol::F(v) => v[row],
-            YCol::Unit => 1.0,
+/// Gather the measures of one window: `out[i * ys.len() + j]` becomes
+/// measure `j` at row `rows[i]` (rows ascending). One dispatch per
+/// measure per window; a float measure is read one slice per chunk the
+/// window touches.
+fn gather_ys(ys: &[YCol<'_>], rows: &[u32], out: &mut Vec<f64>) {
+    let n = ys.len();
+    // Every slot is written below, so only a longer window needs fill.
+    out.resize(rows.len() * n, 0.0);
+    for (j, y) in ys.iter().enumerate() {
+        match y {
+            YCol::I(v) => {
+                for (i, &r) in rows.iter().enumerate() {
+                    out[i * n + j] = v.get(r as usize) as f64;
+                }
+            }
+            YCol::F(v) => for_float_spans(v, rows, |a, b, base, vals| {
+                for k in a..b {
+                    out[k * n + j] = vals[rows[k] as usize - base];
+                }
+            }),
+            YCol::Unit => {
+                for i in 0..rows.len() {
+                    out[i * n + j] = 1.0;
+                }
+            }
         }
     }
 }
@@ -1437,12 +1481,13 @@ impl Accumulators {
         slot
     }
 
+    /// Count one row into `slot`, with its measure values `ys` (one
+    /// per measure, as [`gather_ys`] lays them out).
     #[inline]
-    fn update(&mut self, slot: usize, ys: &[YCol<'_>], row: usize) {
+    fn update(&mut self, slot: usize, ys: &[f64]) {
         self.counts[slot] += 1;
         let base = slot * self.n_ys;
-        for (j, y) in ys.iter().enumerate() {
-            let v = y.get(row);
+        for (j, &v) in ys.iter().enumerate() {
             self.sums[base + j] += v;
             if self.need_minmax {
                 if v < self.mins[base + j] {
@@ -1592,7 +1637,7 @@ fn build_plan<'a>(
     })
 }
 
-/// The serial scan's accumulation state: a reusable code buffer plus
+/// The serial scan's accumulation state: a reusable window buffer plus
 /// strategy-specific slot storage.
 struct ChunkAccumulator<'p, 'a> {
     plan: &'p GroupPlan<'a>,
@@ -1600,17 +1645,40 @@ struct ChunkAccumulator<'p, 'a> {
     acc: Accumulators,
     /// Hash strategy only: composite code → slot.
     slot_of: HashMap<u64, u32>,
-    codes: Vec<u64>,
+    buf: WindowBuf,
 }
 
-/// Encode one chunk's composite codes into `codes` (shared by the
-/// chunk-at-a-time and morsel accumulators).
-#[inline]
-fn encode_chunk(plan: &GroupPlan<'_>, rows: &[u32], codes: &mut Vec<u64>) {
-    codes.clear();
-    codes.resize(rows.len(), 0);
-    for (d, s) in plan.dims.iter().zip(&plan.strides) {
-        d.encode_acc(rows, *s, codes);
+/// One window's per-row inputs in reusable buffers (shared by the
+/// chunk-at-a-time and morsel accumulators): composite group codes, and
+/// measure values in [`gather_ys`]'s layout.
+struct WindowBuf {
+    codes: Vec<u64>,
+    ys: Vec<f64>,
+}
+
+impl WindowBuf {
+    fn new() -> Self {
+        WindowBuf {
+            codes: Vec::with_capacity(CHUNK_ROWS),
+            ys: Vec::new(),
+        }
+    }
+
+    /// Encode the window's composite codes and gather its measures.
+    #[inline]
+    fn fill(&mut self, plan: &GroupPlan<'_>, rows: &[u32]) {
+        self.codes.clear();
+        self.codes.resize(rows.len(), 0);
+        for (d, s) in plan.dims.iter().zip(&plan.strides) {
+            d.encode_acc(rows, *s, &mut self.codes);
+        }
+        gather_ys(&plan.ys, rows, &mut self.ys);
+    }
+
+    /// The measure values of the window's row `i`, `n` measures a row.
+    #[inline]
+    fn ys(&self, i: usize, n: usize) -> &[f64] {
+        &self.ys[i * n..i * n + n]
     }
 }
 
@@ -1622,14 +1690,14 @@ fn encode_chunk(plan: &GroupPlan<'_>, rows: &[u32], codes: &mut Vec<u64>) {
 fn hash_consume(
     acc: &mut Accumulators,
     slot_of: &mut HashMap<u64, u32>,
-    codes: &[u64],
-    ys: &[YCol<'_>],
-    rows: &[u32],
+    buf: &WindowBuf,
+    n_ys: usize,
 ) {
-    slot_of.reserve(rows.len());
-    acc.reserve(rows.len());
-    for (i, &row) in rows.iter().enumerate() {
-        let slot = match slot_of.entry(codes[i]) {
+    let rows = buf.codes.len();
+    slot_of.reserve(rows);
+    acc.reserve(rows);
+    for (i, &code) in buf.codes.iter().enumerate() {
+        let slot = match slot_of.entry(code) {
             Entry::Occupied(e) => *e.get() as usize,
             Entry::Vacant(e) => {
                 let s = acc.grow_one();
@@ -1637,7 +1705,7 @@ fn hash_consume(
                 s
             }
         };
-        acc.update(slot, ys, row as usize);
+        acc.update(slot, buf.ys(i, n_ys));
     }
 }
 
@@ -1654,27 +1722,21 @@ impl<'p, 'a> ChunkAccumulator<'p, 'a> {
             strategy,
             acc,
             slot_of: HashMap::new(),
-            codes: Vec::with_capacity(CHUNK_ROWS),
+            buf: WindowBuf::new(),
         }
     }
 
     /// Accumulate one chunk of qualifying row ids.
     fn consume(&mut self, rows: &[u32]) {
-        encode_chunk(self.plan, rows, &mut self.codes);
+        self.buf.fill(self.plan, rows);
+        let n_ys = self.plan.ys.len();
         match self.strategy {
             GroupStrategy::Dense => {
-                for (i, &row) in rows.iter().enumerate() {
-                    self.acc
-                        .update(self.codes[i] as usize, &self.plan.ys, row as usize);
+                for (i, &code) in self.buf.codes.iter().enumerate() {
+                    self.acc.update(code as usize, self.buf.ys(i, n_ys));
                 }
             }
-            GroupStrategy::Hash => hash_consume(
-                &mut self.acc,
-                &mut self.slot_of,
-                &self.codes,
-                &self.plan.ys,
-                rows,
-            ),
+            GroupStrategy::Hash => hash_consume(&mut self.acc, &mut self.slot_of, &self.buf, n_ys),
         }
     }
 
@@ -1811,7 +1873,7 @@ struct MorselAccumulator<'p, 'a> {
     /// Dense strategy only: codes whose count went 0 → 1 in the current
     /// morsel.
     touched: Vec<u64>,
-    codes: Vec<u64>,
+    buf: WindowBuf,
 }
 
 impl<'p, 'a> MorselAccumulator<'p, 'a> {
@@ -1828,32 +1890,27 @@ impl<'p, 'a> MorselAccumulator<'p, 'a> {
             acc,
             slot_of: HashMap::new(),
             touched: Vec::new(),
-            codes: Vec::with_capacity(CHUNK_ROWS),
+            buf: WindowBuf::new(),
         }
     }
 
     /// Accumulate one chunk of qualifying row ids of the current morsel.
     fn consume(&mut self, rows: &[u32]) {
-        encode_chunk(self.plan, rows, &mut self.codes);
+        self.buf.fill(self.plan, rows);
+        let n_ys = self.plan.ys.len();
         match self.strategy {
             GroupStrategy::Dense => {
                 // Like the chunk accumulator's Dense arm, plus 0 → 1
                 // touch tracking so the morsel compacts in O(groups).
-                for (i, &row) in rows.iter().enumerate() {
-                    let code = self.codes[i] as usize;
+                for (i, &code) in self.buf.codes.iter().enumerate() {
+                    let code = code as usize;
                     if self.acc.counts[code] == 0 {
                         self.touched.push(code as u64);
                     }
-                    self.acc.update(code, &self.plan.ys, row as usize);
+                    self.acc.update(code, self.buf.ys(i, n_ys));
                 }
             }
-            GroupStrategy::Hash => hash_consume(
-                &mut self.acc,
-                &mut self.slot_of,
-                &self.codes,
-                &self.plan.ys,
-                rows,
-            ),
+            GroupStrategy::Hash => hash_consume(&mut self.acc, &mut self.slot_of, &self.buf, n_ys),
         }
     }
 

@@ -72,7 +72,7 @@ pub use cache::{
 };
 pub use column::{
     CatColumn, ChunkEncoding, CodeColumn, Column, EncodePolicy, EncodingCounts, EncodingMode,
-    IntColumn,
+    FloatColumn, IntColumn,
 };
 pub use db::{Database, DynDatabase};
 pub use engine::Pinned;

@@ -44,7 +44,8 @@
 //! re-encode on save, no re-encode on load:
 //!
 //! * `Float` — row count × `f64` bit patterns (exact round-trip),
-//!   unchanged from v1
+//!   unchanged from v1: one flat run whatever the in-memory chunking,
+//!   re-chunked under the current policy on load
 //! * `Int`   — a *packed chunk store* (below) of `i64` values
 //! * `Cat`   — `u64` dictionary length, then per entry `u32` length +
 //!   UTF-8 bytes (first-seen order, so codes survive verbatim), then a
@@ -125,7 +126,7 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Mutex;
 
 use crate::column::{
-    packed_delta, CatColumn, Chunked, Coded, Column, EncChunk, EncodePolicy, IntColumn,
+    packed_delta, CatColumn, Chunked, Coded, Column, EncChunk, EncodePolicy, FloatColumn, IntColumn,
 };
 use crate::fault::{lock_recover, FaultPoint, FaultSpec};
 use crate::table::{Field, Schema, StorageError, Table};
@@ -333,7 +334,7 @@ fn put_chunked<T: PersistCoded>(seg: &mut Vec<u8>, col: &Chunked<T>) {
     put_u32(seg, shift);
     put_u32(seg, chunks.len() as u32);
     for (chunk, &(lo, hi)) in chunks.iter().zip(stats) {
-        match chunk {
+        match &**chunk {
             EncChunk::Plain(v) => {
                 seg.push(0);
                 T::put(seg, lo);
@@ -480,10 +481,13 @@ fn encode_segment(col: &Column) -> Vec<u8> {
     match col {
         Column::Int(v) => put_chunked(&mut seg, v),
         Column::Float(v) => {
+            // One flat run of bit patterns, whatever the chunking.
             seg.reserve(v.len() * 8);
-            for &x in v {
-                seg.extend_from_slice(&x.to_bits().to_le_bytes());
-            }
+            v.for_each_slice(0, v.len(), |_, vals| {
+                for &x in vals {
+                    seg.extend_from_slice(&x.to_bits().to_le_bytes());
+                }
+            });
         }
         Column::Cat(c) => {
             put_u64(&mut seg, c.dict().len() as u64);
@@ -533,7 +537,8 @@ fn decode_segment(
             for _ in 0..rows {
                 v.push(c.f64()?);
             }
-            Column::Float(v)
+            // Re-chunked under the current policy.
+            Column::Float(FloatColumn::from_vec(v, EncodePolicy::from_env()))
         }
         DataType::Cat if fmt == 1 => {
             let (_, mut cat) = take_dict(&mut c)?;
@@ -760,7 +765,7 @@ pub fn encode_wal_frame_from_table(version: u64, src: &Table) -> Result<Vec<u8>,
         for col in &cols {
             match col {
                 Column::Int(v) => body.extend_from_slice(&v.get(row).to_le_bytes()),
-                Column::Float(v) => body.extend_from_slice(&v[row].to_bits().to_le_bytes()),
+                Column::Float(v) => body.extend_from_slice(&v.get(row).to_bits().to_le_bytes()),
                 Column::Cat(c) => put_str(&mut body, &c.dict()[c.code_at(row) as usize]),
             }
         }
@@ -1306,8 +1311,8 @@ mod tests {
             match (a.column_at(i), b.column_at(i)) {
                 (Column::Int(x), Column::Int(y)) => assert_eq!(x, y),
                 (Column::Float(x), Column::Float(y)) => {
-                    let xb: Vec<u64> = x.iter().map(|v| v.to_bits()).collect();
-                    let yb: Vec<u64> = y.iter().map(|v| v.to_bits()).collect();
+                    let xb: Vec<u64> = x.to_vec().iter().map(|v| v.to_bits()).collect();
+                    let yb: Vec<u64> = y.to_vec().iter().map(|v| v.to_bits()).collect();
                     assert_eq!(xb, yb, "float column {i} must round-trip bit-for-bit");
                 }
                 (Column::Cat(x), Column::Cat(y)) => {

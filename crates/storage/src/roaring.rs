@@ -11,6 +11,10 @@
 //! * **Run** — sorted `(start, length-1)` run pairs, produced by
 //!   [`RoaringBitmap::run_optimize`] when runs compress better.
 //!
+//! Bitmap and Run containers carry their member count, kept exact by
+//! every mutation and set operation, so [`RoaringBitmap::len`] costs one
+//! add per container rather than 1024 popcounts per bitset.
+//!
 //! Binary set operations are specialized for Array/Bitmap pairs; Run
 //! containers are expanded to their Array/Bitmap equivalent first (a
 //! simplification relative to the C implementation that preserves
@@ -19,15 +23,18 @@
 const ARRAY_MAX: usize = 4096;
 const BITMAP_WORDS: usize = 1024;
 
+type Words = Box<[u64; BITMAP_WORDS]>;
+
 /// One 2^16-value chunk of the bitmap.
 #[derive(Clone, Debug, PartialEq, Eq)]
 enum Container {
     /// Sorted, deduplicated low-16-bit values.
     Array(Vec<u16>),
-    /// 65536-bit bitset.
-    Bitmap(Box<[u64; BITMAP_WORDS]>),
-    /// Sorted, non-overlapping, non-adjacent runs `(start, len_minus_one)`.
-    Run(Vec<(u16, u16)>),
+    /// 65536-bit bitset and its member count.
+    Bitmap(Words, u32),
+    /// Sorted, non-overlapping, non-adjacent runs `(start, len_minus_one)`
+    /// and their member count.
+    Run(Vec<(u16, u16)>, u32),
 }
 
 impl Container {
@@ -38,16 +45,25 @@ impl Container {
     fn cardinality(&self) -> usize {
         match self {
             Container::Array(v) => v.len(),
-            Container::Bitmap(b) => b.iter().map(|w| w.count_ones() as usize).sum(),
-            Container::Run(runs) => runs.iter().map(|&(_, l)| l as usize + 1).sum(),
+            Container::Bitmap(_, card) | Container::Run(_, card) => *card as usize,
+        }
+    }
+
+    /// A Bitmap container over `words`, or the Array holding the same
+    /// members when `card` (their count) is at most [`ARRAY_MAX`].
+    fn from_words(words: Words, card: u32) -> Container {
+        if card as usize <= ARRAY_MAX {
+            Container::Array(words_to_array(&words, card as usize))
+        } else {
+            Container::Bitmap(words, card)
         }
     }
 
     fn contains(&self, low: u16) -> bool {
         match self {
             Container::Array(v) => v.binary_search(&low).is_ok(),
-            Container::Bitmap(b) => b[(low >> 6) as usize] & (1u64 << (low & 63)) != 0,
-            Container::Run(runs) => match runs.binary_search_by_key(&low, |&(s, _)| s) {
+            Container::Bitmap(b, _) => b[(low >> 6) as usize] & (1u64 << (low & 63)) != 0,
+            Container::Run(runs, _) => match runs.binary_search_by_key(&low, |&(s, _)| s) {
                 Ok(_) => true,
                 Err(0) => false,
                 Err(i) => {
@@ -67,21 +83,22 @@ impl Container {
                     if v.len() >= ARRAY_MAX {
                         let mut bm = Self::array_to_bitmap(v);
                         Self::bitmap_set(&mut bm, low);
-                        *self = Container::Bitmap(bm);
+                        *self = Container::Bitmap(bm, v.len() as u32 + 1);
                     } else {
                         v.insert(pos, low);
                     }
                     true
                 }
             },
-            Container::Bitmap(b) => {
+            Container::Bitmap(b, card) => {
                 let w = &mut b[(low >> 6) as usize];
                 let mask = 1u64 << (low & 63);
                 let added = *w & mask == 0;
                 *w |= mask;
+                *card += added as u32;
                 added
             }
-            Container::Run(_) => {
+            Container::Run(..) => {
                 self.devolve();
                 self.insert(low)
             }
@@ -98,25 +115,28 @@ impl Container {
                 }
                 Err(_) => false,
             },
-            Container::Bitmap(b) => {
+            Container::Bitmap(b, card) => {
                 let w = &mut b[(low >> 6) as usize];
                 let mask = 1u64 << (low & 63);
                 let present = *w & mask != 0;
                 *w &= !mask;
-                if present && self.cardinality() <= ARRAY_MAX {
-                    *self = Container::Array(self.to_array_vec());
+                if present {
+                    *card -= 1;
+                    if *card as usize <= ARRAY_MAX {
+                        *self = Container::Array(words_to_array(b, *card as usize));
+                    }
                 }
                 present
             }
-            Container::Run(_) => {
+            Container::Run(..) => {
                 self.devolve();
                 self.remove(low)
             }
         }
     }
 
-    fn array_to_bitmap(v: &[u16]) -> Box<[u64; BITMAP_WORDS]> {
-        let mut b: Box<[u64; BITMAP_WORDS]> = Box::new([0u64; BITMAP_WORDS]);
+    fn array_to_bitmap(v: &[u16]) -> Words {
+        let mut b: Words = Box::new([0u64; BITMAP_WORDS]);
         for &low in v {
             Self::bitmap_set(&mut b, low);
         }
@@ -131,20 +151,9 @@ impl Container {
     fn to_array_vec(&self) -> Vec<u16> {
         match self {
             Container::Array(v) => v.clone(),
-            Container::Bitmap(b) => {
-                let mut out = Vec::with_capacity(self.cardinality());
-                for (wi, &w) in b.iter().enumerate() {
-                    let mut bits = w;
-                    while bits != 0 {
-                        let t = bits.trailing_zeros();
-                        out.push(((wi as u32) << 6 | t) as u16);
-                        bits &= bits - 1;
-                    }
-                }
-                out
-            }
-            Container::Run(runs) => {
-                let mut out = Vec::with_capacity(self.cardinality());
+            Container::Bitmap(b, card) => words_to_array(b, *card as usize),
+            Container::Run(runs, card) => {
+                let mut out = Vec::with_capacity(*card as usize);
                 for &(s, l) in runs {
                     for v in s..=s.saturating_add(l) {
                         out.push(v);
@@ -159,11 +168,11 @@ impl Container {
     fn first(&self) -> Option<u16> {
         match self {
             Container::Array(v) => v.first().copied(),
-            Container::Bitmap(b) => b
+            Container::Bitmap(b, _) => b
                 .iter()
                 .position(|&w| w != 0)
                 .map(|wi| (wi as u32 * 64 + b[wi].trailing_zeros()) as u16),
-            Container::Run(runs) => runs.first().map(|&(s, _)| s),
+            Container::Run(runs, _) => runs.first().map(|&(s, _)| s),
         }
     }
 
@@ -171,11 +180,11 @@ impl Container {
     fn last(&self) -> Option<u16> {
         match self {
             Container::Array(v) => v.last().copied(),
-            Container::Bitmap(b) => b
+            Container::Bitmap(b, _) => b
                 .iter()
                 .rposition(|&w| w != 0)
                 .map(|wi| (wi as u32 * 64 + 63 - b[wi].leading_zeros()) as u16),
-            Container::Run(runs) => runs.last().map(|&(s, l)| s + l),
+            Container::Run(runs, _) => runs.last().map(|&(s, l)| s + l),
         }
     }
 
@@ -190,8 +199,8 @@ impl Container {
                     out[b >> 6] |= 1u64 << (b & 63);
                 }
             }
-            Container::Bitmap(b) => or_bits(out, dst, &b[..], lo as usize, (hi - lo) as usize),
-            Container::Run(runs) => {
+            Container::Bitmap(b, _) => or_bits(out, dst, &b[..], lo as usize, (hi - lo) as usize),
+            Container::Run(runs, _) => {
                 let from = runs.partition_point(|&(s, l)| (s as u32 + l as u32) < lo);
                 for &(s, l) in &runs[from..] {
                     let (rs, re) = (s as u32, s as u32 + l as u32 + 1);
@@ -218,7 +227,7 @@ impl Container {
                 }
                 seen = v.len();
             }
-            Container::Bitmap(b) => {
+            Container::Bitmap(b, _) => {
                 for (wi, &w) in b.iter().enumerate() {
                     let ones = w.count_ones() as usize;
                     while rank < seen + ones {
@@ -232,7 +241,7 @@ impl Container {
                     seen += ones;
                 }
             }
-            Container::Run(runs) => {
+            Container::Run(runs, _) => {
                 for &(s, l) in runs {
                     let len = l as usize + 1;
                     while rank < seen + len {
@@ -248,34 +257,19 @@ impl Container {
 
     /// Replace a Run container by its Array/Bitmap equivalent.
     fn devolve(&mut self) {
-        if let Container::Run(_) = self {
-            let card = self.cardinality();
-            if card > ARRAY_MAX {
-                let mut b: Box<[u64; BITMAP_WORDS]> = Box::new([0u64; BITMAP_WORDS]);
-                if let Container::Run(runs) = self {
-                    for &(s, l) in runs.iter() {
-                        // Set bits s..=s+l word-by-word.
-                        let end = s as u32 + l as u32;
-                        let mut cur = s as u32;
-                        while cur <= end {
-                            let wi = (cur >> 6) as usize;
-                            let start_bit = cur & 63;
-                            let span = (end - cur).min(63 - start_bit);
-                            let mask = if span == 63 && start_bit == 0 {
-                                u64::MAX
-                            } else {
-                                ((1u64 << (span + 1)) - 1) << start_bit
-                            };
-                            b[wi] |= mask;
-                            cur += span + 1;
-                        }
-                    }
-                }
-                *self = Container::Bitmap(b);
-            } else {
-                *self = Container::Array(self.to_array_vec());
-            }
+        let Container::Run(runs, card) = self else {
+            return;
+        };
+        let card = *card;
+        if card as usize <= ARRAY_MAX {
+            *self = Container::Array(self.to_array_vec());
+            return;
         }
+        let mut b: Words = Box::new([0u64; BITMAP_WORDS]);
+        for &(s, l) in runs.iter() {
+            set_bits(&mut b[..], s as usize, l as usize + 1);
+        }
+        *self = Container::Bitmap(b, card);
     }
 
     /// Normalized (non-Run) copy for binary ops.
@@ -289,25 +283,20 @@ impl Container {
         use Container::*;
         match (self.norm(), other.norm()) {
             (Array(a), Array(b)) => Array(intersect_sorted(&a, &b)),
-            (Array(a), Bitmap(b)) | (Bitmap(b), Array(a)) => Array(
+            (Array(a), Bitmap(b, _)) | (Bitmap(b, _), Array(a)) => Array(
                 a.iter()
                     .copied()
                     .filter(|&v| b[(v >> 6) as usize] & (1 << (v & 63)) != 0)
                     .collect(),
             ),
-            (Bitmap(a), Bitmap(b)) => {
-                let mut out: Box<[u64; BITMAP_WORDS]> = Box::new([0u64; BITMAP_WORDS]);
-                let mut card = 0usize;
+            (Bitmap(a, _), Bitmap(b, _)) => {
+                let mut out: Words = Box::new([0u64; BITMAP_WORDS]);
+                let mut card = 0u32;
                 for i in 0..BITMAP_WORDS {
                     out[i] = a[i] & b[i];
-                    card += out[i].count_ones() as usize;
+                    card += out[i].count_ones();
                 }
-                let c = Bitmap(out);
-                if card <= ARRAY_MAX {
-                    Array(c.to_array_vec())
-                } else {
-                    c
-                }
+                Self::from_words(out, card)
             }
             _ => unreachable!("norm() removes Run containers"),
         }
@@ -319,24 +308,28 @@ impl Container {
             (Array(a), Array(b)) => {
                 let merged = union_sorted(&a, &b);
                 if merged.len() > ARRAY_MAX {
-                    Bitmap(Self::array_to_bitmap(&merged))
+                    Bitmap(Self::array_to_bitmap(&merged), merged.len() as u32)
                 } else {
                     Array(merged)
                 }
             }
-            (Array(a), Bitmap(b)) | (Bitmap(b), Array(a)) => {
-                let mut out = b.clone();
+            (Array(a), Bitmap(mut out, mut card)) | (Bitmap(mut out, mut card), Array(a)) => {
                 for &v in &a {
-                    Self::bitmap_set(&mut out, v);
+                    let w = &mut out[(v >> 6) as usize];
+                    let bit = 1u64 << (v & 63);
+                    card += (*w & bit == 0) as u32;
+                    *w |= bit;
                 }
-                Bitmap(out)
+                Bitmap(out, card)
             }
-            (Bitmap(a), Bitmap(b)) => {
-                let mut out: Box<[u64; BITMAP_WORDS]> = Box::new([0u64; BITMAP_WORDS]);
+            (Bitmap(a, _), Bitmap(b, _)) => {
+                let mut out: Words = Box::new([0u64; BITMAP_WORDS]);
+                let mut card = 0u32;
                 for i in 0..BITMAP_WORDS {
                     out[i] = a[i] | b[i];
+                    card += out[i].count_ones();
                 }
-                Bitmap(out)
+                Bitmap(out, card)
             }
             _ => unreachable!(),
         }
@@ -346,37 +339,29 @@ impl Container {
         use Container::*;
         match (self.norm(), other.norm()) {
             (Array(a), Array(b)) => Array(difference_sorted(&a, &b)),
-            (Array(a), Bitmap(b)) => Array(
+            (Array(a), Bitmap(b, _)) => Array(
                 a.iter()
                     .copied()
                     .filter(|&v| b[(v >> 6) as usize] & (1 << (v & 63)) == 0)
                     .collect(),
             ),
-            (Bitmap(a), Array(b)) => {
-                let mut out = a.clone();
+            (Bitmap(mut out, mut card), Array(b)) => {
                 for &v in &b {
-                    out[(v >> 6) as usize] &= !(1u64 << (v & 63));
+                    let w = &mut out[(v >> 6) as usize];
+                    let bit = 1u64 << (v & 63);
+                    card -= (*w & bit != 0) as u32;
+                    *w &= !bit;
                 }
-                let c = Bitmap(out);
-                if c.cardinality() <= ARRAY_MAX {
-                    Array(c.to_array_vec())
-                } else {
-                    c
-                }
+                Self::from_words(out, card)
             }
-            (Bitmap(a), Bitmap(b)) => {
-                let mut out: Box<[u64; BITMAP_WORDS]> = Box::new([0u64; BITMAP_WORDS]);
-                let mut card = 0usize;
+            (Bitmap(a, _), Bitmap(b, _)) => {
+                let mut out: Words = Box::new([0u64; BITMAP_WORDS]);
+                let mut card = 0u32;
                 for i in 0..BITMAP_WORDS {
                     out[i] = a[i] & !b[i];
-                    card += out[i].count_ones() as usize;
+                    card += out[i].count_ones();
                 }
-                let c = Bitmap(out);
-                if card <= ARRAY_MAX {
-                    Array(c.to_array_vec())
-                } else {
-                    c
-                }
+                Self::from_words(out, card)
             }
             _ => unreachable!(),
         }
@@ -406,13 +391,27 @@ impl Container {
         let run_bytes = runs.len() * 4;
         let current_bytes = match self {
             Container::Array(v) => v.len() * 2,
-            Container::Bitmap(_) => 8192,
-            Container::Run(r) => r.len() * 4,
+            Container::Bitmap(..) => 8192,
+            Container::Run(r, _) => r.len() * 4,
         };
         if run_bytes < current_bytes {
-            *self = Container::Run(runs);
+            *self = Container::Run(runs, vals.len() as u32);
         }
     }
+}
+
+/// The `card` members of a bitset, ascending.
+fn words_to_array(b: &[u64; BITMAP_WORDS], card: usize) -> Vec<u16> {
+    let mut out = Vec::with_capacity(card);
+    for (wi, &w) in b.iter().enumerate() {
+        let mut bits = w;
+        while bits != 0 {
+            let t = bits.trailing_zeros();
+            out.push(((wi as u32) << 6 | t) as u16);
+            bits &= bits - 1;
+        }
+    }
+    out
 }
 
 fn intersect_sorted(a: &[u16], b: &[u16]) -> Vec<u16> {
@@ -622,6 +621,7 @@ impl RoaringBitmap {
         }
     }
 
+    /// Member count: one add per container, each container keeps its own.
     pub fn len(&self) -> u64 {
         self.containers
             .iter()
@@ -769,8 +769,8 @@ impl RoaringBitmap {
             .map(|(_, c)| {
                 2 + match c {
                     Container::Array(v) => v.len() * 2,
-                    Container::Bitmap(_) => 8192,
-                    Container::Run(r) => r.len() * 4,
+                    Container::Bitmap(..) => 8192,
+                    Container::Run(r, _) => r.len() * 4,
                 }
             })
             .sum()
@@ -866,7 +866,7 @@ mod tests {
             bm.insert(v * 2); // non-contiguous so run-optimize can't kick in
         }
         assert_eq!(bm.len(), 5000);
-        assert!(matches!(bm.containers[0].1, Container::Bitmap(_)));
+        assert!(matches!(bm.containers[0].1, Container::Bitmap(..)));
         for v in 0..5000u32 {
             assert!(bm.contains(v * 2));
             assert!(!bm.contains(v * 2 + 1));
@@ -879,7 +879,7 @@ mod tests {
         for v in 0..5000u32 {
             bm.insert(v);
         }
-        assert!(matches!(bm.containers[0].1, Container::Bitmap(_)));
+        assert!(matches!(bm.containers[0].1, Container::Bitmap(..)));
         for v in 1000..5000u32 {
             bm.remove(v);
         }
@@ -918,7 +918,7 @@ mod tests {
             after < before,
             "run encoding should shrink contiguous data: {after} !< {before}"
         );
-        assert!(matches!(bm.containers[0].1, Container::Run(_)));
+        assert!(matches!(bm.containers[0].1, Container::Run(..)));
         assert_eq!(bm.len(), 2000);
         assert!(bm.contains(1000));
         assert!(bm.contains(2999));
@@ -937,7 +937,7 @@ mod tests {
     fn run_container_spanning_word_boundaries_devolves_to_bitmap() {
         let mut bm: RoaringBitmap = (0..6000u32).collect();
         bm.run_optimize();
-        assert!(matches!(bm.containers[0].1, Container::Run(_)));
+        assert!(matches!(bm.containers[0].1, Container::Run(..)));
         // Force devolution through a set op; 6000 > ARRAY_MAX → bitmap path.
         let all: RoaringBitmap = (0..6000u32).collect();
         assert_eq!(bm.and(&all).to_vec(), (0..6000u32).collect::<Vec<_>>());
@@ -975,8 +975,8 @@ mod tests {
             .iter()
             .map(|(_, c)| match c {
                 Container::Array(_) => "array",
-                Container::Bitmap(_) => "bitmap",
-                Container::Run(_) => "run",
+                Container::Bitmap(..) => "bitmap",
+                Container::Run(..) => "run",
             })
             .collect();
         assert_eq!(kinds, ["array", "bitmap", "run", "array"]);
@@ -1017,11 +1017,11 @@ mod tests {
         let array: RoaringBitmap = [70_000u32, 70_005, 99_999].into_iter().collect();
         assert_eq!((array.min(), array.max()), (Some(70_000), Some(99_999)));
         let bitmap: RoaringBitmap = (65_600..131_000u32).step_by(2).collect();
-        assert!(matches!(bitmap.containers[0].1, Container::Bitmap(_)));
+        assert!(matches!(bitmap.containers[0].1, Container::Bitmap(..)));
         assert_eq!((bitmap.min(), bitmap.max()), (Some(65_600), Some(130_998)));
         let mut run: RoaringBitmap = (200_001..210_000u32).collect();
         run.run_optimize();
-        assert!(matches!(run.containers[0].1, Container::Run(_)));
+        assert!(matches!(run.containers[0].1, Container::Run(..)));
         assert_eq!((run.min(), run.max()), (Some(200_001), Some(209_999)));
         let mixed = mixed_kinds();
         assert_eq!((mixed.min(), mixed.max()), (Some(0), Some(262_140)));
@@ -1038,6 +1038,84 @@ mod tests {
         for step in [1usize, 2, 63, 64, 1000, 4096, all.len(), all.len() + 1] {
             let want: Vec<u32> = all.iter().copied().skip(step).step_by(step).collect();
             assert_eq!(bm.select_every(step), want, "step {step}");
+        }
+    }
+
+    impl Container {
+        /// The member count read off the representation: the oracle for
+        /// the count a container keeps.
+        fn recount(&self) -> usize {
+            match self {
+                Container::Array(v) => v.len(),
+                Container::Bitmap(b, _) => b.iter().map(|w| w.count_ones() as usize).sum(),
+                Container::Run(runs, _) => runs.iter().map(|&(_, l)| l as usize + 1).sum(),
+            }
+        }
+    }
+
+    /// Seeded random op sequences — range inserts and removes that cross
+    /// the Array/Bitmap threshold both ways, ascending pushes, run
+    /// optimization and the three set operations against dense, sparse
+    /// and run-encoded operands: after every step each container's kept
+    /// count equals a recount, and `len` equals a model set's size.
+    #[test]
+    fn kept_cardinality_matches_a_recount_after_random_ops() {
+        let mut state = 0x9e37_79b9_7f4a_7c15u64;
+        let mut next = move |n: u64| {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            state % n
+        };
+        const SPAN: u64 = 3 * 65_536;
+        for seq in 0..12 {
+            let mut bm = RoaringBitmap::new();
+            let mut model = BTreeSet::new();
+            for step in 0..150 {
+                let (lo, len, stride) = (next(SPAN), 1 + next(9000), 1 + next(3));
+                let range = (lo..(lo + len).min(SPAN)).step_by(stride as usize);
+                let op = next(7);
+                match op {
+                    0 => {
+                        for v in range {
+                            assert_eq!(bm.insert(v as u32), model.insert(v as u32));
+                        }
+                    }
+                    1 => {
+                        for v in range {
+                            assert_eq!(bm.remove(v as u32), model.remove(&(v as u32)));
+                        }
+                    }
+                    2 => {
+                        let from = bm.max().map_or(0, |m| m as u64 + 1);
+                        for v in (from..(from + len).min(SPAN + 65_536)).step_by(stride as usize) {
+                            bm.push_ascending(v as u32);
+                            model.insert(v as u32);
+                        }
+                    }
+                    3 => bm.run_optimize(),
+                    _ => {
+                        let mut other = RoaringBitmap::from_sorted_iter(range.map(|v| v as u32));
+                        if next(2) == 0 {
+                            other.run_optimize();
+                        }
+                        let o: BTreeSet<u32> = other.iter().collect();
+                        (bm, model) = match op {
+                            4 => (bm.and(&other), model.intersection(&o).copied().collect()),
+                            5 => (bm.or(&other), model.union(&o).copied().collect()),
+                            _ => (bm.and_not(&other), model.difference(&o).copied().collect()),
+                        };
+                    }
+                }
+                for (key, c) in &bm.containers {
+                    assert_eq!(
+                        c.cardinality(),
+                        c.recount(),
+                        "sequence {seq}, step {step} (op {op}): container {key}"
+                    );
+                }
+                assert_eq!(bm.len(), model.len() as u64, "sequence {seq}, step {step}");
+            }
         }
     }
 

@@ -169,6 +169,13 @@ const LINEAGE_CAP: usize = 64;
 /// `[rows(v_old), rows(v_new))` and nothing else" — the precondition for
 /// delta-merging a cached result instead of rescanning the table
 /// ([`crate::cache`]'s incremental view maintenance).
+///
+/// Cloning a table is cheap: every column shares its sealed chunks and
+/// its dictionary with the clone (see [`crate::column`]), so a clone
+/// copies one pointer per sealed chunk plus each column's unsealed tail
+/// (under one chunk of rows). Engines derive each new version by
+/// cloning the current one and appending to the clone, which leaves the
+/// current version, and any reader pinned to it, untouched.
 #[derive(Clone, Debug)]
 pub struct Table {
     schema: Schema,

@@ -37,7 +37,11 @@ fn million_row_table() -> Arc<Table> {
     let keys: Vec<i64> = (0..MILLION).map(|i| (i % 37) as i64).collect();
     let vals: Vec<f64> = (0..MILLION).map(|i| (i % 1013) as f64 * 0.25).collect();
     Arc::new(
-        Table::from_columns(schema, vec![Column::Int(keys.into()), Column::Float(vals)]).unwrap(),
+        Table::from_columns(
+            schema,
+            vec![Column::Int(keys.into()), Column::Float(vals.into())],
+        )
+        .unwrap(),
     )
 }
 

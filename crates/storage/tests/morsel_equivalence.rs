@@ -527,3 +527,169 @@ fn bitmap_sources_across_container_kinds() {
         }
     }
 }
+
+/// Float reads across chunk boundaries: a table with several sealed
+/// float chunks and a tail, scanned by morsels whose sizes do not divide
+/// the 4096-row chunk (1000 and 4097 rows), so windows start mid-chunk
+/// and straddle chunk boundaries. Float `>` and `BETWEEN` predicates,
+/// a binned float x axis and SUM/AVG/MIN/MAX of a float measure must
+/// come out bit for bit as in the serial scan, from `All`, `Filtered`,
+/// `Bitmap` and `BitmapFiltered` sources and through both engines with
+/// an explicit [`ParallelConfig`].
+#[test]
+fn float_reads_across_chunk_boundaries_match_serial() {
+    let rows = 3 * 4096 + 1234;
+    let schema = Schema::new(vec![
+        Field::new("year", DataType::Int),
+        Field::new("product", DataType::Cat),
+        Field::new("sales", DataType::Float),
+        Field::new("price", DataType::Float),
+    ]);
+    let mut b = TableBuilder::new(schema);
+    for i in 0..rows {
+        b.push_row(vec![
+            Value::Int(2010 + (i % 7) as i64),
+            Value::str(format!("p{}", i % 5)),
+            // Multiples of 0.25: every sum is exact.
+            Value::Float(((i * 37) % 801) as f64 * 0.25 - 100.0),
+            Value::Float(((i * 13) % 1000) as f64 * 0.5),
+        ])
+        .unwrap();
+    }
+    let table = std::sync::Arc::new(b.finish());
+    for col in ["sales", "price"] {
+        let (_, sealed, _, tail) = table.column(col).unwrap().as_float().unwrap().parts();
+        assert!(
+            sealed.len() >= 3 && !tail.is_empty(),
+            "{col}: chunks and a tail"
+        );
+    }
+
+    let measures = vec![
+        YSpec::sum("sales"),
+        YSpec::avg("sales"),
+        YSpec::new("sales", Agg::Min),
+        YSpec::new("sales", Agg::Max),
+        YSpec::new("*", Agg::Count),
+    ];
+    let queries = [
+        SelectQuery::new(XSpec::raw("year"), measures.clone()).with_z("product"),
+        SelectQuery::new(XSpec::binned("price", 37.5), measures.clone()),
+        SelectQuery::new(XSpec::binned("sales", 12.5), measures).with_z("product"),
+    ];
+    let gt = Predicate::atom(Atom::NumCmp {
+        col: "sales".into(),
+        op: CmpOp::Gt,
+        value: -20.0,
+    });
+    let between = Predicate::atom(Atom::NumBetween {
+        col: "price".into(),
+        lo: 100.0,
+        hi: 350.0,
+    });
+    // Bitmap members: every third row, then one long run across the
+    // last chunk boundary.
+    let members: RoaringBitmap = (0..rows as u32)
+        .filter(|r| r % 3 == 0 || (9_000..13_000).contains(r))
+        .collect();
+
+    for q in &queries {
+        for label in [
+            "all",
+            "sales > -20",
+            "price between",
+            "bitmap",
+            "bitmap + sales > -20",
+        ] {
+            let make = || match label {
+                "all" => RowSource::All(rows),
+                "sales > -20" => RowSource::Filtered {
+                    n_rows: rows,
+                    pred: compile_pred(&table, &gt).unwrap(),
+                },
+                "price between" => RowSource::Filtered {
+                    n_rows: rows,
+                    pred: compile_pred(&table, &between).unwrap(),
+                },
+                "bitmap" => RowSource::Bitmap(members.clone()),
+                _ => RowSource::BitmapFiltered {
+                    rows: members.clone(),
+                    pred: compile_pred(&table, &gt).unwrap(),
+                },
+            };
+            for strategy in [GroupStrategy::Dense, GroupStrategy::Hash] {
+                let (serial, scanned) = aggregate(&table, q, &make(), strategy).unwrap();
+                assert!(!serial.is_empty(), "{label}: nothing selected");
+                for morsel_rows in [1000usize, 4097] {
+                    for threads in [2usize, 3] {
+                        let (mor, mor_scanned, metrics) =
+                            aggregate_morsel(&table, q, &make(), strategy, threads, morsel_rows)
+                                .unwrap();
+                        assert_eq!(
+                            mor, serial,
+                            "{label} {strategy:?} × {threads} × {morsel_rows}"
+                        );
+                        assert_eq!(mor_scanned, scanned);
+                        assert!(metrics.expect("fans out").morsels > 1);
+                    }
+                }
+            }
+        }
+    }
+
+    // Engine level, scheduling set here rather than from the
+    // environment.
+    let config = |threads, morsel_rows| ParallelConfig {
+        threads,
+        min_parallel_rows: 0,
+        morsel_rows,
+        ..Default::default()
+    };
+    let reference = ScanDb::with_config(
+        table.clone(),
+        ScanDbConfig {
+            parallel: config(1, zv_storage::exec::MORSEL_ROWS),
+            ..ScanDbConfig::uncached()
+        },
+    );
+    for morsel_rows in [1000usize, 4097] {
+        let engines: Vec<Box<dyn Database>> = vec![
+            Box::new(ScanDb::with_config(
+                table.clone(),
+                ScanDbConfig {
+                    parallel: config(2, morsel_rows),
+                    ..ScanDbConfig::uncached()
+                },
+            )),
+            Box::new(BitmapDb::with_config(
+                table.clone(),
+                BitmapDbConfig {
+                    parallel: config(2, morsel_rows),
+                    ..BitmapDbConfig::uncached()
+                },
+            )),
+        ];
+        for q in &queries {
+            for pred in [
+                Predicate::True,
+                gt.clone(),
+                between.clone(),
+                Predicate::cat_eq("product", "p2").and(gt.clone()),
+            ] {
+                let q = q.clone().with_predicate(pred);
+                let expect = reference.execute(&q).unwrap();
+                for db in &engines {
+                    assert_eq!(
+                        db.execute(&q).unwrap(),
+                        expect,
+                        "{} × {morsel_rows}",
+                        db.name()
+                    );
+                }
+            }
+        }
+        for db in &engines {
+            assert!(db.stats().snapshot().morsel_scans > 0, "{}", db.name());
+        }
+    }
+}

@@ -64,7 +64,7 @@ fn base_table() -> Arc<Table> {
             vec![
                 Column::Int(years.into()),
                 Column::Cat(products),
-                Column::Float(sales),
+                Column::Float(sales.into()),
             ],
         )
         .unwrap(),
@@ -102,8 +102,8 @@ fn assert_data_identical(got: &Table, want: &Table, what: &str) {
         match (got.column_at(idx), want.column_at(idx)) {
             (Column::Int(a), Column::Int(b)) => assert_eq!(a, b, "{what}: col {}", field.name),
             (Column::Float(a), Column::Float(b)) => {
-                let a: Vec<u64> = a.iter().map(|v| v.to_bits()).collect();
-                let b: Vec<u64> = b.iter().map(|v| v.to_bits()).collect();
+                let a: Vec<u64> = a.to_vec().iter().map(|v| v.to_bits()).collect();
+                let b: Vec<u64> = b.to_vec().iter().map(|v| v.to_bits()).collect();
                 assert_eq!(a, b, "{what}: col {} (bits)", field.name);
             }
             (Column::Cat(a), Column::Cat(b)) => {
@@ -242,7 +242,7 @@ fn bulk_append_table_is_durable_and_recovers_exactly() {
         vec![
             Column::Int(vec![-3, 2030, 2031].into()),
             Column::Cat(products),
-            Column::Float(vec![0.75, -12.5, 1024.0]),
+            Column::Float(vec![0.75, -12.5, 1024.0].into()),
         ],
     )
     .unwrap();

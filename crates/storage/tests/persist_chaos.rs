@@ -61,7 +61,7 @@ fn base_table() -> Arc<Table> {
             vec![
                 Column::Int(keys.into()),
                 Column::Cat(labels),
-                Column::Float(vals),
+                Column::Float(vals.into()),
             ],
         )
         .unwrap(),
@@ -270,7 +270,11 @@ fn cold_start_reloads_a_million_rows_and_rekeys_the_cache() {
     let keys: Vec<i64> = (0..n).map(|i| (i % 37) as i64).collect();
     let vals: Vec<f64> = (0..n).map(|i| (i % 1013) as f64 * 0.25).collect();
     let big = Arc::new(
-        Table::from_columns(schema, vec![Column::Int(keys.into()), Column::Float(vals)]).unwrap(),
+        Table::from_columns(
+            schema,
+            vec![Column::Int(keys.into()), Column::Float(vals.into())],
+        )
+        .unwrap(),
     );
 
     let dir = temp_dir("cold-start");
